@@ -17,8 +17,6 @@ from .fixedchar import (
     enumerate_configs,
     hilb_tangent_char,
     nested_tangent_char,
-    taut_char,
-    twisted_tangent_char,
 )
 from .integrate import IntegrandSpec, InvariantResult, integrate, integrate_hilb
 from .partitions import NestedPair, Partition, box_char, nested_pairs, partitions_of

@@ -10,6 +10,7 @@ Chern classes.  Everything is exact: integer multiplicities locally,
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DependentChartWeights, SpecializationPole, ZeroWeightInTangent
@@ -37,9 +38,6 @@ class Weight(NamedTuple):
 
     def value(self, x: Rational, y: Rational) -> Rational:
         return self.a * x + self.b * y
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 ZERO_WEIGHT = Weight(0, 0)
@@ -118,18 +116,6 @@ class LocalCharacter:
         return "LocalCharacter(" + " + ".join(bits) + ")"
 
 
-def lc_add(p: LocalCharacter, q: LocalCharacter) -> LocalCharacter:
-    return p + q
-
-
-def lc_mul(p: LocalCharacter, q: LocalCharacter) -> LocalCharacter:
-    return p * q
-
-
-def lc_bar(p: LocalCharacter) -> LocalCharacter:
-    return p.bar()
-
-
 class GlobalCharacter:
     """Signed multiset of global weights: a K-theory class at a fixed point."""
 
@@ -150,9 +136,6 @@ class GlobalCharacter:
     def translate(self, w: Weight) -> "GlobalCharacter":
         """Tensor by the line with character w: shift every weight by w."""
         return GlobalCharacter({k + w: v for k, v in self.terms.items()})
-
-    def bar(self) -> "GlobalCharacter":
-        return GlobalCharacter({-k: v for k, v in self.terms.items()})
 
     def signed_rank(self) -> int:
         return sum(self.terms.values())
@@ -194,15 +177,9 @@ def euler_value(c: GlobalCharacter, x: Rational, y: Rational) -> Rational:
 
 def _binomial(m: int, k: int) -> int:
     """Generalized binomial coefficient C(m, k) for any integer m, k >= 0."""
-    num = 1
-    for i in range(k):
-        num *= m - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    q = Fraction(num, den)
-    assert q.denominator == 1
-    return q.numerator
+    if m >= 0:
+        return comb(m, k)
+    return (-1) ** k * comb(k - m - 1, k)
 
 
 class USeries:
@@ -212,7 +189,8 @@ class USeries:
 
     def __init__(self, coeffs: Iterable[Rational], cutoff: int):
         cs = list(coeffs)
-        assert len(cs) == cutoff + 1
+        if len(cs) != cutoff + 1:
+            raise ValueError(f"{len(cs)} coefficients for cutoff {cutoff}")
         self.coeffs = [Fraction(c) for c in cs]
         self.cutoff = cutoff
 
@@ -228,7 +206,8 @@ class USeries:
         )
 
     def __mul__(self, other: "USeries") -> "USeries":
-        assert self.cutoff == other.cutoff
+        if self.cutoff != other.cutoff:
+            raise ValueError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
         n = self.cutoff
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs):

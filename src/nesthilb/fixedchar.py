@@ -48,18 +48,6 @@ def em_char(Z1: LocalCharacter, Z2: LocalCharacter) -> LocalCharacter:
     return Z2 + Z1.bar() * _INV_T1T2 - Z1.bar() * Z2 * _KOSZUL
 
 
-def taut_char(Z: LocalCharacter) -> LocalCharacter:
-    """Local character of a tautological bundle; the bundle weight is
-    applied by the caller."""
-    return Z
-
-
-def twisted_tangent_char(Z: LocalCharacter) -> LocalCharacter:
-    """Local character of the twisted tangent bundle of the Hilbert
-    scheme; same shape as the tangent, twist applied by the caller."""
-    return hilb_tangent_char(Z)
-
-
 @dataclass(frozen=True)
 class FixedConfig:
     """An assignment of one partition pair to each fixed point.

@@ -19,6 +19,7 @@ product is exactly the degree-matched integrand.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from .charalg import (
     euler_value,
     substitute_chart,
 )
-from .errors import NonConstantSum, SpecializationExhausted, SpecializationPole
 from .fixedchar import (
     FixedConfig,
     em_char,
@@ -38,7 +38,7 @@ from .fixedchar import (
     hilb_tangent_char,
     nested_tangent_char,
 )
-from .sampling import MAX_REDRAWS, make_rng, random_point
+from .sampling import certified_value, make_rng, random_point
 from .toric import EquivariantLineBundle, ToricSurfaceDescriptor
 
 
@@ -53,7 +53,7 @@ class Factor:
     """
 
     kind: str
-    klass: str  # em | em_rev | twisted_tangent | taut | tangent
+    klass: str  # em | em_rev | taut | tangent
     bundle: EquivariantLineBundle | None = None
     k: int | None = None
     slot: int | None = None
@@ -80,7 +80,7 @@ def total_chern_tangent(slot: int = 1) -> Factor:
 
 
 def total_chern_twisted_tangent(bundle: EquivariantLineBundle, slot: int) -> Factor:
-    return Factor("total", "twisted_tangent", bundle, slot=slot)
+    return Factor("total", "tangent", bundle, slot=slot)
 
 
 def top_chern_taut(bundle: EquivariantLineBundle, slot: int = 1) -> Factor:
@@ -133,7 +133,7 @@ def _factor_rank(f: Factor, n1: int, n2: int) -> int:
     n = n1 if f.slot == 1 else n2
     if f.klass == "taut":
         return n
-    return 2 * n  # tangent, twisted_tangent
+    return 2 * n  # tangent
 
 
 def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) -> GlobalCharacter:
@@ -145,7 +145,7 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
             local = em_char(Z1, Z2)
         elif f.klass == "em_rev":
             local = em_char(Z2, Z1)
-        elif f.klass in ("tangent", "twisted_tangent"):
+        elif f.klass == "tangent":
             local = hilb_tangent_char(Z1 if f.slot == 1 else Z2)
         elif f.klass == "taut":
             local = Z1 if f.slot == 1 else Z2
@@ -244,38 +244,16 @@ def integrate(
     vdim = _vdim(spec.mode, n1, n2)
     prepared = _prepare(S, n1, n2, spec)
     rng = make_rng(seed)
-
-    pool = None
-    try:
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        values = []
-        points = []
-        for _ in range(npoints):
-            for _attempt in range(MAX_REDRAWS):
-                x, y = random_point(rng)
-                try:
-                    values.append(_evaluate_point(prepared, x, y, vdim, workers, pool))
-                    points.append((x, y))
-                    break
-                except SpecializationPole:
-                    continue
-            else:
-                raise SpecializationExhausted(
-                    f"no pole-free specialization on {S.name} ({n1}, {n2})"
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    if any(v != values[0] for v in values[1:]):
-        raise NonConstantSum(
-            f"localization sum not constant on {S.name} "
-            f"({n1}, {n2}, {spec.mode}): {values}"
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        value, points = certified_value(
+            lambda x, y: _evaluate_point(prepared, x, y, vdim, workers, pool),
+            lambda: random_point(rng),
+            npoints,
+            f"{S.name} ({n1}, {n2}, {spec.mode})",
         )
     return InvariantResult(
-        value=values[0],
-        specializations=tuple(points),
+        value=value,
+        specializations=points,
         config_count=len(prepared),
         mode=spec.mode,
         n1=n1,
@@ -292,5 +270,6 @@ def integrate_hilb(
     npoints: int = 3,
 ) -> InvariantResult:
     """Localization over the single Hilbert scheme of n points (slot 1)."""
-    assert spec.mode == "hilb"
+    if spec.mode != "hilb":
+        raise ValueError(f"integrate_hilb needs a 'hilb' spec, got mode {spec.mode!r}")
     return integrate(S, n, 0, spec, seed=seed, workers=workers, npoints=npoints)

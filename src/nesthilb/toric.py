@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charalg import Rational, Weight
-from .errors import (
-    DependentChartWeights,
-    NonConstantSum,
-    SpecializationExhausted,
-    SpecializationPole,
-    WrongCoefficientCount,
-)
-from .sampling import MAX_REDRAWS, make_rng, random_point
+from .errors import DependentChartWeights, SpecializationPole, WrongCoefficientCount
+from .sampling import certified_value, make_rng, random_point
+
+
+def _det(v1: tuple[int, int], v2: tuple[int, int]) -> int:
+    return v1[0] * v2[1] - v1[1] * v2[0]
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class FixedPointChart:
     w2: Weight
 
     def __post_init__(self):
-        if self.w1.a * self.w2.b - self.w1.b * self.w2.a == 0:
+        if _det(self.w1, self.w2) == 0:
             raise DependentChartWeights(f"chart weights {self.w1}, {self.w2}")
 
 
@@ -69,7 +67,6 @@ class ToricSurfaceDescriptor:
     rays: tuple[tuple[int, int], ...] | None = None
     cone_rays: tuple[tuple[int, int], ...] | None = None  # ray indices per chart
     named_bundles: tuple[tuple[str, tuple[Weight, ...]], ...] = ()
-    intersections: tuple[tuple[str, str, int], ...] = ()
 
     def __post_init__(self):
         if len(self.charts) < 3:
@@ -78,6 +75,18 @@ class ToricSurfaceDescriptor:
     @property
     def euler_number(self) -> int:
         return len(self.charts)
+
+    @property
+    def fano(self) -> bool:
+        """Every toric divisor has D_i^2 >= -1, read off the fan.
+
+        With counterclockwise smooth rays D_i^2 = -det(v_{i-1}, v_{i+1}).
+        False for surfaces without a fan.
+        """
+        if self.rays is None:
+            return False
+        n = len(self.rays)
+        return all(_det(self.rays[i - 1], self.rays[(i + 1) % n]) <= 1 for i in range(n))
 
     def bundle(self, label: str) -> EquivariantLineBundle:
         if label == "O":
@@ -89,16 +98,10 @@ class ToricSurfaceDescriptor:
                 return EquivariantLineBundle(label, weights)
         raise KeyError(f"no bundle named {label!r} on surface {self.name!r}")
 
-    def lookup_intersection(self, l1: str, l2: str) -> int | None:
-        for a, b, v in self.intersections:
-            if {a, b} == {l1, l2} or (a == l1 and b == l2):
-                return v
-        return None
-
 
 def _solve_pairing(v1: tuple[int, int], v2: tuple[int, int], c1: int, c2: int) -> Weight:
     """Integer solution w of <w, v1> = c1, <w, v2> = c2 (unimodular cone)."""
-    det = v1[0] * v2[1] - v1[1] * v2[0]
+    det = _det(v1, v2)
     if det == 0:
         raise DependentChartWeights(f"degenerate cone {v1}, {v2}")
     na = c1 * v2[1] - c2 * v1[1]
@@ -183,39 +186,27 @@ def intersect(
     """Poincare pairing <L, L'> by surface-level localization.
 
     Evaluated at several random specializations; all evaluations must
-    agree exactly.  File-based descriptors may pin pairings in an
-    explicit table instead.
+    agree exactly.
     """
-    table = S.lookup_intersection(L.label, Lp.label)
-    if table is not None:
-        return Fraction(table)
+
+    def evaluate(x: Rational, y: Rational) -> Rational:
+        total = Fraction(0)
+        for chart, lw, lpw in zip(S.charts, L.weights, Lp.weights):
+            d1 = chart.w1.value(x, y)
+            d2 = chart.w2.value(x, y)
+            if d1 == 0 or d2 == 0:
+                raise SpecializationPole(f"chart pole at ({x}, {y})")
+            total += Fraction(lw.value(x, y) * lpw.value(x, y), d1 * d2)
+        return total
 
     rng = make_rng(seed)
-    values = []
-    for _ in range(npoints):
-        for _attempt in range(MAX_REDRAWS):
-            x, y = random_point(rng)
-            try:
-                total = Fraction(0)
-                for chart, lw, lpw in zip(S.charts, L.weights, Lp.weights):
-                    d1 = chart.w1.value(x, y)
-                    d2 = chart.w2.value(x, y)
-                    if d1 == 0 or d2 == 0:
-                        raise SpecializationPole(f"chart pole at ({x}, {y})")
-                    total += Fraction(lw.value(x, y) * lpw.value(x, y), d1 * d2)
-                values.append(total)
-                break
-            except SpecializationPole:
-                continue
-        else:
-            raise SpecializationExhausted(
-                f"no pole-free specialization for intersect on {S.name}"
-            )
-    if any(v != values[0] for v in values[1:]):
-        raise NonConstantSum(
-            f"intersection sum not constant on {S.name}: {values}"
-        )
-    return values[0]
+    value, _ = certified_value(
+        evaluate,
+        lambda: random_point(rng),
+        npoints,
+        f"{S.name} pairing <{L.label}, {Lp.label}>",
+    )
+    return value
 
 
 def _require_int(x, where: str) -> int:
@@ -235,13 +226,18 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
 
     Schema: { "name": str,
               "fixed_points": [ { "w1": [a,b], "w2": [a,b],
-                                  "bundles": { "<label>": [a,b] } } ],
-              "intersections": { "<l1>": { "<l2>": int } } }  (optional)
-    Integers only; floats are rejected.
+                                  "bundles": { "<label>": [a,b] } } ] }
+    Integers only; floats are rejected.  Pairings are always computed by
+    localization, so an "intersections" table is rejected.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("surface descriptor must be a JSON object")
+    if "intersections" in data:
+        raise ValueError(
+            "surface descriptor key 'intersections' is not supported: "
+            "pairings are computed by localization"
+        )
     name = data.get("name")
     if not isinstance(name, str):
         raise ValueError("surface descriptor needs a string 'name'")
@@ -271,18 +267,10 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
         for lab in labels:
             per_label[lab].append(_parse_weight(bundles[lab], f"{where}.bundles[{lab}]"))
 
-    inter = []
-    for l1, row in (data.get("intersections") or {}).items():
-        if not isinstance(row, dict):
-            raise ValueError("intersections rows must be objects")
-        for l2, v in row.items():
-            inter.append((l1, l2, _require_int(v, f"intersections[{l1}][{l2}]")))
-
     return ToricSurfaceDescriptor(
         name=name,
         charts=tuple(charts),
         named_bundles=tuple((lab, tuple(ws)) for lab, ws in per_label.items()),
-        intersections=tuple(inter),
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charalg import Rational, _binomial
+from .errors import NestHilbError
 from .integrate import (
     IntegrandSpec,
     integrate,
@@ -65,6 +66,23 @@ def _table_keys(nmax: int):
     return [(n1, n2) for n1 in range(nmax + 1) for n2 in range(n1 + 1)]
 
 
+def _localization_table(
+    S: ToricSurfaceDescriptor,
+    M: EquivariantLineBundle,
+    nmax: int,
+    spec: IntegrandSpec,
+    seed: int,
+    workers: int,
+) -> CoeffTable:
+    """Integrate spec at every (n1, n2) with n1 <= nmax."""
+    table = CoeffTable(S.name, M.label, "localization", nmax)
+    for n1, n2 in _table_keys(nmax):
+        res = integrate(S, n1, n2, spec, seed=seed, workers=workers)
+        table.entries[(n1, n2)] = res.value
+        table.configs += res.config_count
+    return table
+
+
 def theorem7_lhs(
     S: ToricSurfaceDescriptor,
     M: EquivariantLineBundle,
@@ -74,13 +92,9 @@ def theorem7_lhs(
 ) -> CoeffTable:
     """Signed nested-scheme integrals of the total Chern class of the
     extension class twisted by M."""
-    table = CoeffTable(S.name, M.label, "localization", nmax)
     spec = IntegrandSpec("nested", (total_chern_em(M),))
-    for n1, n2 in _table_keys(nmax):
-        res = integrate(S, n1, n2, spec, seed=seed, workers=workers)
-        sign = -1 if (n1 + n2) % 2 else 1
-        table.entries[(n1, n2)] = sign * res.value
-        table.configs += res.config_count
+    table = _localization_table(S, M, nmax, spec, seed, workers)
+    table.entries = {(n1, n2): (-1) ** (n1 + n2) * v for (n1, n2), v in table.entries.items()}
     return table
 
 
@@ -98,7 +112,8 @@ def theorem7_rhs(
     K = canonical_bundle(S)
     A = intersect(S, K, K - M, seed=seed)
     B = intersect(S, K - M, M, seed=seed) - S.euler_number
-    assert A.denominator == 1 and B.denominator == 1
+    if A.denominator != 1 or B.denominator != 1:
+        raise NestHilbError(f"non-integral A={A}, B={B} on {S.name} bundle {M.label}")
     A, B = A.numerator, B.numerator
 
     series: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -211,7 +226,6 @@ def case3_check(
     S: ToricSurfaceDescriptor,
     n: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> CheckReport:
     """Dimension consistency of the (n+1, n) nested scheme.
 
@@ -253,11 +267,9 @@ def zprod_table(
     There is no closed-form oracle; values are checked for exactness,
     constancy and integrality, and pinned as regression goldens.
     """
-    table = CoeffTable(S.name, M.label, "localization", nmax)
     spec = IntegrandSpec("product", (total_chern_em(), total_chern_em(M)))
-    for n1, n2 in _table_keys(nmax):
-        res = integrate(S, n1, n2, spec, seed=seed, workers=workers)
-        assert res.value.denominator == 1, (n1, n2, res.value)
-        table.entries[(n1, n2)] = res.value
-        table.configs += res.config_count
+    table = _localization_table(S, M, nmax, spec, seed, workers)
+    for (n1, n2), value in table.entries.items():
+        if value.denominator != 1:
+            raise NestHilbError(f"non-integral zprod {value} on {S.name} at ({n1}, {n2})")
     return table

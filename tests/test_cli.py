@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from nesthilb.cli import UsageError, build_parser, main, parse_bundle, parse_surface
+from nesthilb.cli import (
+    UsageError,
+    build_parser,
+    main,
+    parse_bundle,
+    parse_surface,
+    run_checks,
+)
 
 
 def run_cli(args):
@@ -55,6 +62,16 @@ class TestExitCodes:
     def test_bad_workers(self, capsys):
         assert run_cli(["--workers", "0"]) == 2
 
+    def test_degenerate_descriptor_is_usage_error(self, tmp_path, capsys):
+        descriptor = {
+            "name": "flat",
+            "fixed_points": [{"w1": [1, 1], "w2": [2, 2]}] * 3,
+        }
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(descriptor))
+        assert run_cli(["--surface", f"file:{path}"]) == 2
+        assert "chart weights" in capsys.readouterr().err
+
     def test_all_checks_quadric(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(["--surface", "p1xp1", "--check", "all", "--nmax", "1",
@@ -104,21 +121,35 @@ class TestJsonReport:
             assert f"lhs={e['lhs']}" in text
 
 
+PLANE_POINTS = [
+    {"w1": [1, 0], "w2": [0, 1], "bundles": {}},
+    {"w1": [-1, 1], "w2": [-1, 0], "bundles": {}},
+    {"w1": [0, -1], "w2": [1, -1], "bundles": {}},
+]
+
+
 class TestCustomSurfaceRun:
     def test_file_surface(self, tmp_path, capsys):
-        descriptor = {
-            "name": "custom-plane",
-            "fixed_points": [
-                {"w1": [1, 0], "w2": [0, 1], "bundles": {}},
-                {"w1": [-1, 1], "w2": [-1, 0], "bundles": {}},
-                {"w1": [0, -1], "w2": [1, -1], "bundles": {}},
-            ],
-        }
+        descriptor = {"name": "custom-plane", "fixed_points": PLANE_POINTS}
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(descriptor))
         code = run_cli(["--surface", f"file:{path}", "--bundle", "O",
                         "--check", "theorem7", "--nmax", "1"])
         assert code == 0
+
+
+class TestFanoDecision:
+    def test_theorem5_asserted_only_on_fano_fans(self, tmp_path):
+        # Fano-ness comes from the fan (every D_i^2 >= -1), never from
+        # the name: a file descriptor called "p2" has no fan
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"name": "p2", "fixed_points": PLANE_POINTS}))
+        expected = {"fa:0": False, "fa:1": False, "fa:2": True, "fa:3": True,
+                    f"file:{path}": True}
+        for selector, informational in expected.items():
+            S = parse_surface(selector)
+            (report,) = run_checks(S, S.bundle("O"), "theorem5", 1, seed=0, workers=1)
+            assert report.informational is informational, selector
 
 
 class TestParser:

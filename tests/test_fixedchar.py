@@ -7,8 +7,6 @@ from nesthilb.fixedchar import (
     enumerate_configs,
     hilb_tangent_char,
     nested_tangent_char,
-    taut_char,
-    twisted_tangent_char,
 )
 from nesthilb.integrate import _tangent_character
 from nesthilb.partitions import EMPTY, Partition, box_char, nested_pairs, partitions_of
@@ -103,22 +101,6 @@ class TestEmChar:
             for mu2 in partitions_of(2):
                 Z1, Z2 = box_char(mu1), box_char(mu2)
                 assert em_char(Z2, Z1) == em_char(Z1, Z2).bar() * inv
-
-
-class TestSmallClasses:
-    def test_taut_char_is_box_char(self):
-        for n in range(7):
-            for mu in partitions_of(n):
-                Z = box_char(mu)
-                assert taut_char(Z) == Z
-                assert taut_char(Z).signed_rank() == n
-
-    def test_twisted_tangent_untwisted_shape(self):
-        for n in range(6):
-            for mu in partitions_of(n):
-                Z = box_char(mu)
-                assert twisted_tangent_char(Z) == hilb_tangent_char(Z)
-                assert twisted_tangent_char(Z).signed_rank() == 2 * n
 
 
 def brute_force_config_count(npoints, n1, n2):

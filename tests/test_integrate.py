@@ -30,6 +30,12 @@ class TestBaseCases:
         assert integrate_hilb(surface_p2(), 0, spec).value == 1
 
 
+class TestSpecValidation:
+    def test_integrate_hilb_rejects_nested_spec(self):
+        with pytest.raises(ValueError, match="nested"):
+            integrate_hilb(surface_p2(), 1, NESTED_EO)
+
+
 class TestEulerNumberCalibration:
     def test_plane(self):
         spec = IntegrandSpec("hilb", (total_chern_tangent(),))
@@ -136,5 +142,5 @@ class TestNonConstantDetection:
             label="broken", weights=(L.weights[1], L.weights[0], L.weights[2])
         )
         spec = IntegrandSpec("nested", (total_chern_em(broken),))
-        with pytest.raises(NonConstantSum):
+        with pytest.raises(NonConstantSum, match=r"p2 \(1, 0, nested\)"):
             integrate(S, 1, 0, spec)

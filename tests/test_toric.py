@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nesthilb.charalg import Weight
+from nesthilb.cli import main
 from nesthilb.errors import WrongCoefficientCount
 from nesthilb.toric import (
     canonical_bundle,
@@ -154,11 +155,17 @@ class TestJsonDescriptor:
         with pytest.raises(ValueError):
             surface_from_json(json.dumps(bad))
 
-    def test_intersections_table_lookup(self):
+    def test_intersections_table_rejected(self, tmp_path, capsys):
+        # pairings come from localization only; an override table that
+        # stopped applying silently would be worse than refusing it
         doc = dict(DESCRIPTOR)
         doc["intersections"] = {"L": {"L": 7}}
-        S = surface_from_json(json.dumps(doc))
-        assert intersect(S, S.bundle("L"), S.bundle("L")) == 7
+        with pytest.raises(ValueError, match="intersections"):
+            surface_from_json(json.dumps(doc))
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--surface", f"file:{path}", "--bundle", "L", "--check", "theorem7"]) == 2
+        assert "intersections" in capsys.readouterr().err
 
     def test_unknown_bundle_label(self):
         S = surface_from_json(json.dumps(DESCRIPTOR))

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
+import nesthilb.verify
+from nesthilb.errors import NestHilbError
 from nesthilb.toric import canonical_bundle, line_bundle, surface_p1xp1, surface_p2
 from nesthilb.verify import (
     case2_check,
@@ -64,6 +68,12 @@ class TestProductFormulaSide:
         # A = 8, B = -4
         assert rhs.entries[(1, 0)] == -8
         assert rhs.entries[(1, 1)] == 4
+
+    def test_non_integral_pairing_is_an_engine_error(self, monkeypatch):
+        monkeypatch.setattr(nesthilb.verify, "intersect", lambda *a, **k: Fraction(1, 2))
+        S = surface_p2()
+        with pytest.raises(NestHilbError, match=r"A=1/2.* on p2"):
+            theorem7_rhs(S, S.bundle("O"), 1)
 
     def test_empty_product(self):
         S = surface_p1xp1()
