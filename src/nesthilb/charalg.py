@@ -3,14 +3,16 @@
 Laurent polynomials in the two local torus variables t1, t2 with integer
 multiplicities, signed weight multisets in the global character lattice,
 and truncated series in an auxiliary variable u used to extract graded
-Chern classes.  Everything is exact: integer multiplicities locally,
-``fractions.Fraction`` after specialization.  No floats.
+Chern classes.  Everything is exact: specialization is at integer points;
+exact because every summand is homogeneous of degree 0 in (s1, s2).  Only
+the Euler class is a ``fractions.Fraction``.  No floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DependentChartWeights, SpecializationPole, ZeroWeightInTangent
@@ -36,7 +38,7 @@ class Weight(NamedTuple):
     def scale(self, k: int) -> "Weight":
         return Weight(k * self.a, k * self.b)
 
-    def value(self, x: Rational, y: Rational) -> Rational:
+    def value(self, x: int, y: int) -> int:
         return self.a * x + self.b * y
 
 
@@ -158,21 +160,32 @@ def substitute_chart(p: LocalCharacter, w1: Weight, w2: Weight) -> GlobalCharact
     return GlobalCharacter(out)
 
 
-def euler_value(c: GlobalCharacter, x: Rational, y: Rational) -> Rational:
-    """Equivariant Euler class of c at s1 = x, s2 = y.
+def _require_int_point(x, y) -> None:
+    # ``//`` on a Fraction floors instead of failing, so a rational point
+    # would give a silently wrong series: refuse it here.
+    if type(x) is not int or type(y) is not int:
+        raise TypeError(f"specialization point must be a pair of ints, got ({x!r}, {y!r})")
+
+
+def euler_value(c: GlobalCharacter, x: int, y: int) -> Rational:
+    """Equivariant Euler class of c at the integer point s1 = x, s2 = y.
 
     Product of weight values with multiplicities as exponents; negative
     multiplicities land in the denominator.
     """
+    _require_int_point(x, y)
     if c.zero_multiplicity() != 0:
         raise ZeroWeightInTangent("zero weight with nonzero multiplicity")
-    result = Fraction(1)
+    num = den = 1
     for w, m in c.terms.items():
         v = w.value(x, y)
         if v == 0:
             raise SpecializationPole(f"weight {w} vanishes at ({x}, {y})")
-        result *= Fraction(v) ** m
-    return result
+        if m > 0:
+            num *= v**m
+        else:
+            den *= v**-m
+    return Fraction(num, den)
 
 
 def _binomial(m: int, k: int) -> int:
@@ -183,20 +196,20 @@ def _binomial(m: int, k: int) -> int:
 
 
 class USeries:
-    """Truncated series in the auxiliary grading variable u, exact coefficients."""
+    """Truncated series in the auxiliary grading variable u, integer coefficients."""
 
     __slots__ = ("coeffs", "cutoff")
 
-    def __init__(self, coeffs: Iterable[Rational], cutoff: int):
+    def __init__(self, coeffs: Iterable[int], cutoff: int):
         cs = list(coeffs)
         if len(cs) != cutoff + 1:
             raise ValueError(f"{len(cs)} coefficients for cutoff {cutoff}")
-        self.coeffs = [Fraction(c) for c in cs]
+        self.coeffs = cs
         self.cutoff = cutoff
 
     @staticmethod
     def one(cutoff: int) -> "USeries":
-        return USeries([Fraction(1)] + [Fraction(0)] * cutoff, cutoff)
+        return USeries([1] + [0] * cutoff, cutoff)
 
     def __eq__(self, other):
         return (
@@ -209,22 +222,20 @@ class USeries:
         if self.cutoff != other.cutoff:
             raise ValueError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
         n = self.cutoff
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
+        bs = other.coeffs
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
+            if a:
+                for j in range(n - i + 1):
+                    out[i + j] += a * bs[j]
         return USeries(out, n)
 
-    def coefficient(self, k: int) -> Rational:
+    def coefficient(self, k: int) -> int:
         return self.coeffs[k]
 
     def keep_only(self, k: int) -> "USeries":
         """Zero every coefficient except degree k (degree-selection factor)."""
-        out = [Fraction(0)] * (self.cutoff + 1)
+        out = [0] * (self.cutoff + 1)
         if 0 <= k <= self.cutoff:
             out[k] = self.coeffs[k]
         return USeries(out, self.cutoff)
@@ -233,17 +244,26 @@ class USeries:
         return f"USeries({self.coeffs})"
 
 
-def chern_useries(c: GlobalCharacter, x: Rational, y: Rational, cutoff: int) -> USeries:
-    """Total equivariant Chern class of c at (x, y), graded by u.
+def chern_useries(c: GlobalCharacter, x: int, y: int, cutoff: int) -> USeries:
+    """Total equivariant Chern class of c at the integer point (x, y), graded by u.
 
     Returns the truncated product over weights w of (1 + u*w(x,y))^mult;
     the u^k coefficient is the k-th Chern class of c at the
-    specialization.  Negative multiplicities expand by the binomial
-    series, which is exact at any truncation order.
+    specialization.  Negative multiplicities expand as power series.  The
+    coefficients e_k come from the power sums p_k = sum mult * w(x,y)^k by
+    Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i; every
+    e_k is an integer, so the division by k is exact.
     """
-    result = USeries.one(cutoff)
+    _require_int_point(x, y)
+    # q[k] = (-1)^(k-1) p_k: the signs of Newton's identities folded in
+    q = [0] * (cutoff + 1)
     for w, m in c.terms.items():
-        v = w.value(x, y)
-        factor = [Fraction(_binomial(m, k)) * Fraction(v) ** k for k in range(cutoff + 1)]
-        result = result * USeries(factor, cutoff)
-    return result
+        v = -w.value(x, y)
+        power = -m
+        for k in range(1, cutoff + 1):
+            power *= v
+            q[k] += power
+    e = [1] + [0] * cutoff
+    for k in range(1, cutoff + 1):
+        e[k] = sum(map(mul, reversed(e[:k]), q[1 : k + 1])) // k
+    return USeries(e, cutoff)

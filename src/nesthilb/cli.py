@@ -127,7 +127,7 @@ def run_checks(
             subs = [case2_check(S, M, n, seed=seed, workers=workers) for n in range(nmax + 1)]
             reports.append(_merge("case2", subs))
         elif name == "case3":
-            subs = [case3_check(S, n, seed=seed) for n in range(nmax + 1)]
+            subs = [case3_check(S, n) for n in range(nmax + 1)]
             reports.append(_merge("case3", subs))
         elif name == "zprod":
             table = zprod_table(S, M, nmax, seed=seed, workers=workers)

@@ -10,6 +10,10 @@ integrand factor; each invariant is then the sum over configurations of
 evaluated exactly at several seeded random specializations.  The
 evaluations must agree exactly; their common value is the invariant.
 
+The specializations are integer points; exact because every summand is
+homogeneous of degree 0 in (s1, s2): numerator and Euler class both have
+degree vdim.  Each configuration costs one Fraction division.
+
 The u-grading restores cohomological degree: "total Chern class"
 integrands keep their whole series, "top Chern" and "Chern index"
 factors keep a single graded piece, and the u^vdim coefficient of the
@@ -38,7 +42,7 @@ from .fixedchar import (
     hilb_tangent_char,
     nested_tangent_char,
 )
-from .sampling import certified_value, make_rng, random_point
+from .sampling import Point, certified_value, make_rng, random_point
 from .toric import EquivariantLineBundle, ToricSurfaceDescriptor
 
 
@@ -102,7 +106,7 @@ class IntegrandSpec:
 @dataclass(frozen=True)
 class InvariantResult:
     value: Rational
-    specializations: tuple[tuple[Rational, Rational], ...]
+    specializations: tuple[Point, ...]
     config_count: int
     mode: str
     n1: int

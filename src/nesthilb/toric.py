@@ -185,11 +185,11 @@ def intersect(
 ) -> Rational:
     """Poincare pairing <L, L'> by surface-level localization.
 
-    Evaluated at several random specializations; all evaluations must
-    agree exactly.
+    Evaluated at several random integer specializations (each term is
+    homogeneous of degree 0); all evaluations must agree exactly.
     """
 
-    def evaluate(x: Rational, y: Rational) -> Rational:
+    def evaluate(x: int, y: int) -> Rational:
         total = Fraction(0)
         for chart, lw, lpw in zip(S.charts, L.weights, Lp.weights):
             d1 = chart.w1.value(x, y)
@@ -250,12 +250,12 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
     per_label: dict[str, list[Weight]] = {}
     for k, pt in enumerate(points):
         where = f"fixed_points[{k}]"
-        charts.append(
-            FixedPointChart(
-                _parse_weight(pt.get("w1"), where + ".w1"),
-                _parse_weight(pt.get("w2"), where + ".w2"),
-            )
-        )
+        w1 = _parse_weight(pt.get("w1"), where + ".w1")
+        w2 = _parse_weight(pt.get("w2"), where + ".w2")
+        try:
+            charts.append(FixedPointChart(w1, w2))
+        except DependentChartWeights as exc:
+            raise DependentChartWeights(f"{where}: {exc}") from exc
         bundles = pt.get("bundles", {})
         if not isinstance(bundles, dict):
             raise ValueError(f"{where}.bundles must be an object")

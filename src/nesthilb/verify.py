@@ -222,11 +222,7 @@ def case2_check(
     )
 
 
-def case3_check(
-    S: ToricSurfaceDescriptor,
-    n: int,
-    seed: int = 0,
-) -> CheckReport:
+def case3_check(S: ToricSurfaceDescriptor, n: int) -> CheckReport:
     """Dimension consistency of the (n+1, n) nested scheme.
 
     Informational: asserts the signed rank of every tangent character

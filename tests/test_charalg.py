@@ -112,40 +112,47 @@ class TestSubstituteChart:
 class TestEulerValue:
     def test_effective_rank_two(self):
         c = GlobalCharacter({Weight(1, 0): 1, Weight(0, 1): 1})
-        assert euler_value(c, Fraction(1), Fraction(1)) == 1
+        assert euler_value(c, 1, 1) == 1
 
     def test_negative_multiplicity_divides(self):
         c = GlobalCharacter({Weight(1, 0): 1, Weight(0, 1): -1})
-        assert euler_value(c, Fraction(2), Fraction(3)) == Fraction(2, 3)
+        assert euler_value(c, 2, 3) == Fraction(2, 3)
 
     def test_zero_weight_is_structural(self):
         c = GlobalCharacter({Weight(0, 0): 1, Weight(1, 0): 1})
         with pytest.raises(ZeroWeightInTangent):
-            euler_value(c, Fraction(1), Fraction(2))
+            euler_value(c, 1, 2)
 
     def test_vanishing_weight_is_a_pole(self):
         c = GlobalCharacter({Weight(1, -1): 1})
         with pytest.raises(SpecializationPole):
-            euler_value(c, Fraction(5), Fraction(5))
+            euler_value(c, 5, 5)
+
+    def test_rational_point_rejected(self):
+        c = GlobalCharacter({Weight(1, 0): 1})
+        with pytest.raises(TypeError, match="pair of ints"):
+            euler_value(c, Fraction(1, 2), 3)
+        with pytest.raises(TypeError, match="pair of ints"):
+            euler_value(c, 1, Fraction(3))
 
 
 class TestChernSeries:
     def test_empty_character(self):
-        s = chern_useries(GlobalCharacter(), Fraction(1), Fraction(2), 3)
+        s = chern_useries(GlobalCharacter(), 1, 2, 3)
         assert s == USeries.one(3)
 
     def test_single_line(self):
         c = GlobalCharacter({Weight(1, 0): 1})
-        s = chern_useries(c, Fraction(2), Fraction(5), 2)
+        s = chern_useries(c, 2, 5, 2)
         assert s.coeffs == [1, 2, 0]
 
     def test_negative_line_geometric_series(self):
         c = GlobalCharacter({Weight(1, 0): -1})
-        s = chern_useries(c, Fraction(1), Fraction(1), 2)
+        s = chern_useries(c, 1, 1, 2)
         assert s.coeffs == [1, -1, 1]
 
     def test_sum_of_characters_multiplies_series(self):
-        x, y = Fraction(3, 2), Fraction(5, 7)
+        x, y = 21, 10
         a = GlobalCharacter({Weight(1, 0): 2, Weight(1, 1): -1})
         b = GlobalCharacter({Weight(0, 1): 1, Weight(2, -1): 3})
         lhs = chern_useries(a + b, x, y, 4)
@@ -153,21 +160,29 @@ class TestChernSeries:
         assert lhs == rhs
 
     def test_euler_is_top_chern_for_effective_characters(self):
-        x, y = Fraction(7, 3), Fraction(2, 11)
+        x, y = 77, 6
         c = GlobalCharacter({Weight(1, 0): 2, Weight(0, 1): 1, Weight(1, 2): 1})
         r = c.signed_rank()
         s = chern_useries(c, x, y, r)
         assert s.coefficient(r) == euler_value(c, x, y)
 
+    def test_rational_point_rejected(self):
+        # floor division on a Fraction would give a silently wrong series
+        c = GlobalCharacter({Weight(1, 0): 1})
+        with pytest.raises(TypeError, match="pair of ints"):
+            chern_useries(c, Fraction(3, 2), 5, 2)
+        with pytest.raises(TypeError, match="pair of ints"):
+            chern_useries(c, Fraction(3), 5, 2)
+
 
 class TestUSeries:
     def test_truncated_multiplication(self):
-        a = USeries([Fraction(1), Fraction(2), Fraction(3)], 2)
-        b = USeries([Fraction(1), Fraction(-1), Fraction(0)], 2)
+        a = USeries([1, 2, 3], 2)
+        b = USeries([1, -1, 0], 2)
         assert (a * b).coeffs == [1, 1, 1]
 
     def test_keep_only(self):
-        a = USeries([Fraction(1), Fraction(2), Fraction(3)], 2)
+        a = USeries([1, 2, 3], 2)
         assert a.keep_only(1).coeffs == [0, 2, 0]
         assert a.keep_only(5).coeffs == [0, 0, 0]
 

@@ -70,7 +70,7 @@ class TestExitCodes:
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(descriptor))
         assert run_cli(["--surface", f"file:{path}"]) == 2
-        assert "chart weights" in capsys.readouterr().err
+        assert "fixed_points[0]: chart weights" in capsys.readouterr().err
 
     def test_all_checks_quadric(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from nesthilb.errors import NonConstantSum, SpecializationExhausted, SpecializationPole
@@ -9,14 +7,14 @@ WHERE = "p2 (2, 1, nested)"
 
 
 def points(*pairs):
-    it = iter([(Fraction(x), Fraction(y)) for x, y in pairs])
+    it = iter(pairs)
     return lambda: next(it)
 
 
 def pole_at_zero(x, y):
     if x == 0:
         raise SpecializationPole(f"pole at ({x}, {y})")
-    return Fraction(5)
+    return 5
 
 
 def test_pole_is_redrawn_and_left_out():
@@ -31,7 +29,7 @@ def test_poles_on_every_draw_exhaust():
 
     def draw():
         calls.append(1)
-        return Fraction(0), Fraction(1)
+        return 0, 1
 
     with pytest.raises(SpecializationExhausted, match=r"p2 \(2, 1, nested\)"):
         certified_value(pole_at_zero, draw, 3, WHERE)
