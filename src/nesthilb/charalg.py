@@ -233,13 +233,6 @@ class USeries:
     def coefficient(self, k: int) -> int:
         return self.coeffs[k]
 
-    def keep_only(self, k: int) -> "USeries":
-        """Zero every coefficient except degree k (degree-selection factor)."""
-        out = [0] * (self.cutoff + 1)
-        if 0 <= k <= self.cutoff:
-            out[k] = self.coeffs[k]
-        return USeries(out, self.cutoff)
-
     def __repr__(self):
         return f"USeries({self.coeffs})"
 

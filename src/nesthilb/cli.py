@@ -5,10 +5,11 @@ verifications and emits a text or JSON report.  Exit codes: 0 all
 asserted identities hold, 1 on any mismatch, 2 on usage or configuration
 errors (a descriptor that does not load included), 3 on structural
 errors (non-constant localization sums, zero tangent weights, exhausted
-specializations, non-integral values).
+specializations, non-integral values, a case3 tangent of the wrong rank).
 
-The JSON report is byte-identical for a fixed seed regardless of worker
-count; wall-clock timings are zeroed there unless --timings is given.
+The JSON report is byte-identical for a fixed seed; --workers is
+accepted and validated but has no effect.  Wall-clock timings are zeroed
+there unless --timings is given.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", "-c", default="all", help="|".join(CHECK_NAMES) + "|all")
     p.add_argument("--nmax", "-n", type=int, default=2, help="table truncation order")
     p.add_argument("--seed", type=int, default=0, help="specialization seed")
-    p.add_argument("--workers", "-w", type=int, default=1, help="parallel worker count")
+    p.add_argument("--workers", "-w", type=int, default=1,
+                   help="accepted (>= 1) but without effect: every check runs in one process")
     p.add_argument("--output", "-o", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--timings", action="store_true",

@@ -21,6 +21,11 @@ class ZeroWeightInTangent(NestHilbError):
     """
 
 
+class InconsistentTangent(NestHilbError):
+    """A fixed-point tangent character has the wrong signed rank or
+    contains the zero weight."""
+
+
 class SpecializationPole(NestHilbError):
     """A weight vanished at the chosen specialization point; redraw."""
 

@@ -67,6 +67,15 @@ class FixedConfig:
         return [box_char(p2) for _, p2 in self.assignment]
 
 
+def local_pair_chars(a: int, b: int, mode: str) -> list[tuple[LocalCharacter, LocalCharacter]]:
+    """Box characters (Z1, Z2) of every partition pair of sizes (a, b) one
+    fixed point can carry: boxwise nested in nested mode, independent in
+    product mode."""
+    if mode == "nested":
+        return [(box_char(pr.outer), box_char(pr.inner)) for pr in nested_pairs(a, b)]
+    return [(box_char(p1), box_char(p2)) for p1 in partitions_of(a) for p2 in partitions_of(b)]
+
+
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (total,)

@@ -1,49 +1,58 @@
 """The localization integrator.
 
-For each fixed-point configuration we assemble the (specialization
-independent) global characters of the virtual tangent space and of every
-integrand factor; each invariant is then the sum over configurations of
+An invariant is a sum over fixed-point configurations of
 
     [u^vdim coefficient of the product of factor Chern series]
-    / (equivariant Euler class of the tangent character)
+    / (equivariant Euler class of the tangent character).
 
-evaluated exactly at several seeded random specializations.  The
-evaluations must agree exactly; their common value is the invariant.
+Tangent and factor classes are sums over the fixed points p, so each
+summand is a product of local terms and a whole table is one product
 
-The specializations are integer points; exact because every summand is
-homogeneous of degree 0 in (s1, s2): numerator and Euler class both have
-degree vdim.  Each configuration costs one Fraction division.
+    Z = prod_p Z_p,   Z_p = sum over local partition pairs of sizes (a, b)
+                            of q1^a q2^b c(E_p) / e(T_p),
 
-The u-grading restores cohomological degree: "total Chern class"
-integrands keep their whole series, "top Chern" and "Chern index"
-factors keep a single graded piece, and the u^vdim coefficient of the
-product is exactly the degree-matched integrand.
+whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  "Total" factors are
+graded by u; each "top" or "index" factor by a variable of its own, so
+that its kept degree is selected globally.  The configuration sum stays
+(``enumerate_configs``, ``_tangent_character``, ``_factor_character``) as
+the brute-force oracle of the tests.
+
+Z is evaluated exactly at several seeded random integer points, which
+must agree.  That is exact because every summand is homogeneous of
+degree 0 in (s1, s2).  Each chart's factor is integral over one common
+denominator, so each entry costs one Fraction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from math import lcm, prod
+from operator import add, gt
+from typing import Iterable, NamedTuple
 
 from .charalg import (
     GlobalCharacter,
+    LocalCharacter,
     Rational,
     USeries,
+    Weight,
     chern_useries,
     euler_value,
     substitute_chart,
 )
-from .fixedchar import (
+from .errors import InvalidNesting
+from .fixedchar import (  # enumerate_configs is the tests' oracle, not called here
     FixedConfig,
     em_char,
     enumerate_configs,
     hilb_tangent_char,
+    local_pair_chars,
     nested_tangent_char,
 )
 from .sampling import Point, certified_value, make_rng, random_point
-from .toric import EquivariantLineBundle, ToricSurfaceDescriptor
+from .toric import EquivariantLineBundle, FixedPointChart, ToricSurfaceDescriptor
 
 
 @dataclass(frozen=True)
@@ -105,12 +114,23 @@ class IntegrandSpec:
 
 @dataclass(frozen=True)
 class InvariantResult:
-    value: Rational
+    """Every entry (a, b) <= (n1, n2) of one localization table (b <= a
+    in nested mode) and its configuration count."""
+
+    values: dict[tuple[int, int], Rational]
+    config_counts: dict[tuple[int, int], int]
     specializations: tuple[Point, ...]
-    config_count: int
     mode: str
     n1: int
     n2: int
+
+    @property
+    def value(self) -> Rational:
+        return self.values[(self.n1, self.n2)]
+
+    @property
+    def config_count(self) -> int:
+        return self.config_counts[(self.n1, self.n2)]
 
 
 def _vdim(mode: str, n1: int, n2: int) -> int:
@@ -165,73 +185,188 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
     return total
 
 
-@dataclass(frozen=True)
-class _PreparedConfig:
-    """Specialization-independent data of one configuration."""
+class _Grading(NamedTuple):
+    """Which coefficient of the vertex product each table entry reads.
 
-    tangent: GlobalCharacter
-    factor_chars: tuple[GlobalCharacter, ...]
-    factor_degrees: tuple[int | None, ...]  # None = keep whole series
+    Total factors are graded by u; each top or index factor by its own
+    variable v_j, kept up to caps[j].  Entry (a, b) reads v^degrees u^k
+    with k = vdim(a, b) - sum(degrees); a negative degree or k reads 0.
+    """
 
-
-def _prepare(
-    S: ToricSurfaceDescriptor, n1: int, n2: int, spec: IntegrandSpec
-) -> list[_PreparedConfig]:
-    enum_mode = "nested" if spec.mode == "nested" else "product"
-    tangent_mode = "nested" if spec.mode == "nested" else "hilbprod"
-    prepared = []
-    for cfg in enumerate_configs(S, n1, n2, enum_mode):
-        tangent = _tangent_character(S, cfg, tangent_mode)
-        chars = []
-        degrees: list[int | None] = []
-        for f in spec.factors:
-            chars.append(_factor_character(S, cfg, f))
-            if f.kind == "total":
-                degrees.append(None)
-            elif f.kind == "top":
-                degrees.append(_factor_rank(f, n1, n2))
-            else:
-                degrees.append(f.k)
-        prepared.append(_PreparedConfig(tangent, tuple(chars), tuple(degrees)))
-    return prepared
+    reads: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # by entry, in order
+    n1: int
+    n2: int
+    ucut: int
+    caps: tuple[int, ...]
 
 
-def _eval_chunk(args) -> Rational:
-    chunk, x, y, vdim = args
-    total = Fraction(0)
-    for pc in chunk:
-        denom = euler_value(pc.tangent, x, y)
-        series = USeries.one(vdim)
-        for char, deg in zip(pc.factor_chars, pc.factor_degrees):
-            s = chern_useries(char, x, y, vdim)
-            if deg is not None:
-                s = s.keep_only(deg)
-            series = series * s
-        total += series.coefficient(vdim) / denom
-    return total
+def _grading(spec: IntegrandSpec, n1: int, n2: int) -> _Grading:
+    entries = (
+        (a, b)
+        for a in range(n1 + 1)
+        for b in range(n2 + 1)
+        if spec.mode != "nested" or b <= a
+    )
+    reads = {}
+    for a, b in entries:
+        degrees = tuple(
+            _factor_rank(f, a, b) if f.kind == "top" else f.k
+            for f in spec.factors
+            if f.kind != "total"
+        )
+        reads[(a, b)] = (degrees, _vdim(spec.mode, a, b) - sum(degrees))
+    caps = tuple(max(0, *ds) for ds in zip(*(d for d, _ in reads.values())))
+    ucut = max(0, *(k for _, k in reads.values()))
+    return _Grading(reads, n1, n2, ucut, caps)
 
 
-def _chunks(items: list, n: int) -> list[list]:
-    n = max(1, min(n, len(items))) if items else 1
-    size, extra = divmod(len(items), n)
-    out, start = [], 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
+def _local_tangent(Z1: LocalCharacter, Z2: LocalCharacter, mode: str) -> LocalCharacter:
+    if mode == "nested":
+        return nested_tangent_char(Z1, Z2)
+    return hilb_tangent_char(Z1) + hilb_tangent_char(Z2)
+
+
+def _local_factor(Z1: LocalCharacter, Z2: LocalCharacter, f: Factor) -> LocalCharacter:
+    if f.klass == "em":
+        return em_char(Z1, Z2)
+    if f.klass == "em_rev":
+        return em_char(Z2, Z1)
+    Z = Z1 if f.slot == 1 else Z2
+    if f.klass == "tangent":
+        return hilb_tangent_char(Z)
+    if f.klass == "taut":
+        return Z
+    raise ValueError(f"unknown factor class {f.klass!r}")
+
+
+# per local pair: the tangent character and the characters of the factors
+_VertexTerm = tuple[GlobalCharacter, tuple[GlobalCharacter, ...]]
+# one chart's vertex terms, by local sizes (a, b)
+_ChartTerms = dict[tuple[int, int], list[_VertexTerm]]
+
+
+def _chart_terms(
+    S: ToricSurfaceDescriptor, spec: IntegrandSpec, keys: Iterable[tuple[int, int]]
+) -> list[_ChartTerms]:
+    """The vertex terms of every chart, by local sizes (a, b).
+
+    Local characters are built once per local pair and substituted at
+    every chart; a twist by M shifts by the dual of M's weight there (see
+    ``_factor_character``).
+    """
+    pair_mode = "nested" if spec.mode == "nested" else "product"
+    local = {
+        key: [
+            (_local_tangent(Z1, Z2, spec.mode), [_local_factor(Z1, Z2, f) for f in spec.factors])
+            for Z1, Z2 in local_pair_chars(*key, pair_mode)
+        ]
+        for key in keys
+    }
+    charts = []
+    for i, chart in enumerate(S.charts):
+        shifts = [None if f.bundle is None else -f.bundle.weights[i] for f in spec.factors]
+        charts.append({
+            key: [
+                (
+                    _at_chart(t, chart, None),
+                    tuple(_at_chart(c, chart, shift) for c, shift in zip(chars, shifts)),
+                )
+                for t, chars in terms
+            ]
+            for key, terms in local.items()
+        })
+    return charts
+
+
+def _at_chart(
+    char: LocalCharacter, chart: FixedPointChart, shift: Weight | None
+) -> GlobalCharacter:
+    g = substitute_chart(char, chart.w1, chart.w2)
+    return g if shift is None else g.translate(shift)
+
+
+# a grid maps local or global sizes (a, b) to a series in (v_1.., u):
+# {v exponents: [u^0 .. u^ucut coefficients]}
+_Grid = dict[tuple[int, int], dict[tuple[int, ...], list[int]]]
+
+
+def _chart_grid(
+    terms: _ChartTerms,
+    x: int,
+    y: int,
+    spec: IntegrandSpec,
+    grading: _Grading,
+) -> tuple[int, _Grid]:
+    """One chart's factor Z_p at (x, y) as an integer grid and its
+    denominator: each vertex term is its factor Chern series divided by
+    its tangent Euler value, all over one common denominator."""
+    ucut = grading.ucut
+    eulers = {key: [euler_value(t, x, y) for t, _ in ts] for key, ts in terms.items()}
+    den = lcm(*(e.numerator for es in eulers.values() for e in es))
+    grid: _Grid = {}
+    for key, ts in terms.items():
+        series: dict[tuple[int, ...], list[int]] = {}
+        for (_, chars), e in zip(ts, eulers[key]):
+            u = USeries.one(ucut)
+            parts = [((), den // e.numerator * e.denominator)]
+            caps = iter(grading.caps)
+            for char, f in zip(chars, spec.factors):
+                if f.kind == "total":
+                    u = u * chern_useries(char, x, y, ucut)
+                else:
+                    cs = chern_useries(char, x, y, next(caps)).coeffs
+                    parts = [(d + (j,), c * cj) for d, c in parts for j, cj in enumerate(cs) if cj]
+            for d, c in parts:
+                acc = series.setdefault(d, [0] * (ucut + 1))
+                for k, uk in enumerate(u.coeffs):
+                    acc[k] += c * uk
+        grid[key] = series
+    return den, grid
+
+
+def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int, caps: tuple[int, ...]) -> _Grid:
+    """Product of two grids, truncated at (n1, n2), at caps in v and at ucut in u."""
+    out: _Grid = {}
+    for (a1, b1), s in g.items():
+        for (a2, b2), t in h.items():
+            if a1 + a2 > n1 or b1 + b2 > n2:
+                continue
+            acc = out.setdefault((a1 + a2, b1 + b2), {})
+            for d1, p in s.items():
+                for d2, q in t.items():
+                    d = tuple(map(add, d1, d2))
+                    if any(map(gt, d, caps)):
+                        continue
+                    r = acc.setdefault(d, [0] * (ucut + 1))
+                    for i, c in enumerate(p):
+                        if c:
+                            for j in range(ucut + 1 - i):
+                                r[i + j] += c * q[j]
     return out
 
 
-def _evaluate_point(prepared, x, y, vdim, workers, pool) -> Rational:
-    if workers <= 1 or pool is None or len(prepared) < 2:
-        return _eval_chunk((prepared, x, y, vdim))
-    chunks = _chunks(prepared, workers)
-    args = [(c, x, y, vdim) for c in chunks]
-    partials = list(pool.map(_eval_chunk, args))
-    total = Fraction(0)
-    for p in partials:  # fixed chunk order: schedule-independent result
-        total += p
-    return total
+def _evaluate(
+    charts: list[_ChartTerms], x: int, y: int, spec: IntegrandSpec, grading: _Grading
+) -> dict[tuple[int, int], Rational]:
+    """Every entry of the vertex product Z = prod_p Z_p at (x, y)."""
+    dens, grids = zip(*(_chart_grid(terms, x, y, spec, grading) for terms in charts))
+    times = partial(_times, n1=grading.n1, n2=grading.n2, ucut=grading.ucut, caps=grading.caps)
+    product = reduce(times, grids)
+    return {key: Fraction(_read(product, key, grading), prod(dens)) for key in grading.reads}
+
+
+def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
+    """The coefficient that entry ``key`` reads from ``grid``."""
+    degrees, k = grading.reads[key]
+    series = grid[key].get(degrees)
+    return series[k] if series and k >= 0 else 0
+
+
+def _config_counts(charts: list[_ChartTerms], grading: _Grading) -> dict[tuple[int, int], int]:
+    """Configurations per entry: the vertex product with unit weights."""
+    units = ({key: {(): [len(ts)]} for key, ts in terms.items()} for terms in charts)
+    product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0, caps=()), units)
+    return {key: product[key][()][0] for key in grading.reads}
 
 
 def integrate(
@@ -243,22 +378,30 @@ def integrate(
     workers: int = 1,
     npoints: int = 3,
 ) -> InvariantResult:
-    """Localize the integrand over the (n1, n2) moduli and return the
-    exact common value of all specialization evaluations."""
-    vdim = _vdim(spec.mode, n1, n2)
-    prepared = _prepare(S, n1, n2, spec)
+    """Localize the integrand over the moduli of every size (a, b) <=
+    (n1, n2), b <= a in nested mode, and return the exact common values of
+    all specialization evaluations.
+
+    ``workers`` is validated and has no effect: a whole table costs less
+    than starting a process pool.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if n1 < 0 or n2 < 0 or (spec.mode == "nested" and n1 < n2):
+        raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode {spec.mode!r}")
+    grading = _grading(spec, n1, n2)
+    charts = _chart_terms(S, spec, grading.reads)
     rng = make_rng(seed)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        value, points = certified_value(
-            lambda x, y: _evaluate_point(prepared, x, y, vdim, workers, pool),
-            lambda: random_point(rng),
-            npoints,
-            f"{S.name} ({n1}, {n2}, {spec.mode})",
-        )
+    values, points = certified_value(
+        lambda x, y: _evaluate(charts, x, y, spec, grading),
+        lambda: random_point(rng),
+        npoints,
+        f"{S.name} ({n1}, {n2}, {spec.mode})",
+    )
     return InvariantResult(
-        value=value,
+        values=values,
+        config_counts=_config_counts(charts, grading),
         specializations=points,
-        config_count=len(prepared),
         mode=spec.mode,
         n1=n1,
         n2=n2,

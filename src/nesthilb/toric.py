@@ -228,7 +228,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
               "fixed_points": [ { "w1": [a,b], "w2": [a,b],
                                   "bundles": { "<label>": [a,b] } } ] }
     Integers only; floats are rejected.  Pairings are always computed by
-    localization, so an "intersections" table is rejected.
+    localization, so an "intersections" table is rejected.  Chart and
+    bundle weights must satisfy the GKM conditions (``_check_edges``).
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -267,11 +268,50 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
         for lab in labels:
             per_label[lab].append(_parse_weight(bundles[lab], f"{where}.bundles[{lab}]"))
 
+    _check_edges(charts, per_label)
     return ToricSurfaceDescriptor(
         name=name,
         charts=tuple(charts),
         named_bundles=tuple((lab, tuple(ws)) for lab, ws in per_label.items()),
     )
+
+
+def _is_multiple(d: Weight, w: Weight) -> bool:
+    """d = m * w for an integer m (w is nonzero)."""
+    return _det(d, w) == 0 and (d.a * w.a + d.b * w.b) % (w.a**2 + w.b**2) == 0
+
+
+def _check_edges(charts: list[FixedPointChart], bundles: dict[str, list[Weight]]) -> None:
+    """The GKM conditions, naming the fixed point that breaks them.
+
+    Every chart weight w at fixed point k is the edge to another fixed
+    point j that carries -w, and every bundle's weights at k and j differ
+    by an integer multiple of w.  Without them the localization sums are
+    not constant.
+    """
+    def show(w: Weight) -> str:
+        return f"[{w.a}, {w.b}]"
+
+    for k, chart in enumerate(charts):
+        for w in (chart.w1, chart.w2):
+            ends = [j for j, c in enumerate(charts) if j != k and -w in (c.w1, c.w2)]
+            if not ends:
+                raise ValueError(
+                    f"fixed_points[{k}]: chart weight {show(w)} has no other fixed point "
+                    f"with chart weight {show(-w)}"
+                )
+            bad = [
+                (j, lab, ws[k] - ws[j])
+                for j in ends
+                for lab, ws in bundles.items()
+                if not _is_multiple(ws[k] - ws[j], w)
+            ]
+            if len({j for j, _, _ in bad}) == len(ends):
+                j, lab, d = bad[0]
+                raise ValueError(
+                    f"fixed_points[{k}]: bundle {lab!r} weights here and at fixed_points[{j}] "
+                    f"differ by {show(d)}, not a multiple of the chart weight {show(w)}"
+                )
 
 
 def surface_from_file(path: str) -> ToricSurfaceDescriptor:

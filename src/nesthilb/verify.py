@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charalg import Rational, _binomial
-from .errors import NestHilbError
+from .errors import InconsistentTangent, NestHilbError
 from .integrate import (
     IntegrandSpec,
     integrate,
@@ -74,12 +74,12 @@ def _localization_table(
     seed: int,
     workers: int,
 ) -> CoeffTable:
-    """Integrate spec at every (n1, n2) with n1 <= nmax."""
+    """Integrate spec at every (n1, n2) with n2 <= n1 <= nmax, in one call."""
     table = CoeffTable(S.name, M.label, "localization", nmax)
-    for n1, n2 in _table_keys(nmax):
-        res = integrate(S, n1, n2, spec, seed=seed, workers=workers)
-        table.entries[(n1, n2)] = res.value
-        table.configs += res.config_count
+    res = integrate(S, nmax, nmax, spec, seed=seed, workers=workers)
+    for key in _table_keys(nmax):
+        table.entries[key] = res.values[key]
+        table.configs += res.config_counts[key]
     return table
 
 
@@ -225,9 +225,10 @@ def case2_check(
 def case3_check(S: ToricSurfaceDescriptor, n: int) -> CheckReport:
     """Dimension consistency of the (n+1, n) nested scheme.
 
-    Informational: asserts the signed rank of every tangent character
-    equals 2n + 1 and that no tangent character contains the zero
-    weight.  The projectivized comparison itself is not computed.
+    Checks that the signed rank of every tangent character equals 2n + 1
+    and that no tangent character contains the zero weight; a
+    configuration that fails raises InconsistentTangent naming it.  The
+    projectivized comparison itself is not computed.
     """
     from .fixedchar import enumerate_configs
     from .integrate import _tangent_character
@@ -235,15 +236,19 @@ def case3_check(S: ToricSurfaceDescriptor, n: int) -> CheckReport:
     t0 = time.monotonic()
     expected = 2 * n + 1
     count = 0
-    ok = True
     for cfg in enumerate_configs(S, n + 1, n, "nested"):
         tangent = _tangent_character(S, cfg, "nested")
         count += 1
         if tangent.signed_rank() != expected or tangent.zero_multiplicity() != 0:
-            ok = False
+            pairs = ", ".join(f"{list(o.parts)}/{list(i.parts)}" for o, i in cfg.assignment)
+            raise InconsistentTangent(
+                f"case3 on {S.name} at ({n + 1}, {n}): partition pairs [{pairs}] give "
+                f"a tangent of signed rank {tangent.signed_rank()} (expected {expected}) "
+                f"and zero-weight multiplicity {tangent.zero_multiplicity()}"
+            )
     return CheckReport(
         name="case3",
-        entries=((n + 1, n, Fraction(expected), Fraction(expected if ok else -1)),),
+        entries=((n + 1, n, Fraction(expected), Fraction(expected)),),
         configs_evaluated=count,
         millis=int((time.monotonic() - t0) * 1000),
     )

@@ -181,11 +181,6 @@ class TestUSeries:
         b = USeries([1, -1, 0], 2)
         assert (a * b).coeffs == [1, 1, 1]
 
-    def test_keep_only(self):
-        a = USeries([1, 2, 3], 2)
-        assert a.keep_only(1).coeffs == [0, 2, 0]
-        assert a.keep_only(5).coeffs == [0, 0, 0]
-
 
 class TestBinomial:
     @pytest.mark.parametrize(

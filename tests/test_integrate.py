@@ -83,6 +83,10 @@ class TestDeterminismAndConstancy:
         b = integrate(surface_p1xp1(), 2, 1, NESTED_EO, seed=3, workers=4)
         assert a == b
 
+    def test_worker_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            integrate(surface_p2(), 1, 0, NESTED_EO, workers=0)
+
     def test_three_specializations_recorded(self):
         r = integrate(surface_p2(), 1, 1, NESTED_EO)
         assert len(r.specializations) == 3
@@ -142,5 +146,5 @@ class TestNonConstantDetection:
             label="broken", weights=(L.weights[1], L.weights[0], L.weights[2])
         )
         spec = IntegrandSpec("nested", (total_chern_em(broken),))
-        with pytest.raises(NonConstantSum, match=r"p2 \(1, 0, nested\)"):
+        with pytest.raises(NonConstantSum, match=r"p2 \(1, 0, nested\) entry \(1, 0\): -?\d"):
             integrate(S, 1, 0, spec)

@@ -44,3 +44,11 @@ def test_non_constant_values_are_listed_with_their_points():
     assert WHERE in message
     for text in ("1 at (1, 2)", "3 at (3, 4)", "3 at (3, 5)"):
         assert text in message
+
+
+def test_non_constant_table_names_the_entry_that_moved():
+    draw = points((1, 2), (3, 4), (3, 5))
+    with pytest.raises(NonConstantSum) as info:
+        certified_value(lambda x, y: {(0, 0): 1, (1, 0): x}, draw, 3, WHERE)
+    message = str(info.value)
+    assert f"{WHERE} entry (1, 0): 1 at (1, 2), 3 at (3, 4)" in message

@@ -1,14 +1,16 @@
-"""The integer evaluation path against an independent Fraction slow path.
+"""The integer vertex product against an independent Fraction slow path.
 
 The slow path expands prod (1 + u*w(x, y))^m by multiplying or dividing
 by (1 + u*w(x, y)) one factor at a time over the rationals, takes the
 Euler class as a product of Fraction powers, reads top degrees off the
 signed ranks of the characters, and sums the localization formula over
-``enumerate_configs`` at rational points.  It shares only the character
-assembly with the engine.
+every global configuration of ``enumerate_configs`` at rational points.
+It shares only the character formulas with the engine, which multiplies
+one local factor per fixed point instead.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,18 +20,29 @@ from nesthilb.charalg import GlobalCharacter, Weight, chern_useries
 from nesthilb.fixedchar import enumerate_configs
 from nesthilb.integrate import (
     IntegrandSpec,
-    _eval_chunk,
+    _chart_grid,
+    _chart_terms,
     _factor_character,
-    _prepare,
+    _grading,
+    _read,
     _tangent_character,
     chern_index_em,
     integrate,
     top_chern_em,
     top_chern_taut,
     total_chern_em,
+    total_chern_em_rev,
     total_chern_tangent,
+    total_chern_twisted_tangent,
 )
-from nesthilb.toric import canonical_bundle, line_bundle, surface_p1xp1, surface_p2
+from nesthilb.toric import (
+    canonical_bundle,
+    line_bundle,
+    surface_from_json,
+    surface_hirzebruch,
+    surface_p1xp1,
+    surface_p2,
+)
 
 # x/y is far from every ratio -b/a of small weights, so no weight vanishes
 RATIONAL_POINT = (Fraction(7919, 13), Fraction(104729, 17))
@@ -71,18 +84,27 @@ def reference_summand(tangent, factors, x, y) -> Fraction:
     return series[vdim] / reference_euler(tangent, x, y)
 
 
+def reference_degrees(chars, spec):
+    """(character, kept degree or None) per factor, without the
+    integrator's degree bookkeeping: "top" keeps the signed rank of its
+    character."""
+    return [
+        (char, {"total": None, "top": char.signed_rank(), "index": f.k}[f.kind])
+        for char, f in zip(chars, spec.factors)
+    ]
+
+
+def enum_mode(spec):
+    return "nested" if spec.mode == "nested" else "product"
+
+
 def reference_terms(S, n1, n2, spec):
-    """(tangent, factors) per configuration, without the integrator's
-    degree bookkeeping: "top" keeps the signed rank of its character."""
+    """(tangent, factors) per configuration."""
     nested = spec.mode == "nested"
-    for cfg in enumerate_configs(S, n1, n2, "nested" if nested else "product"):
+    for cfg in enumerate_configs(S, n1, n2, enum_mode(spec)):
         tangent = _tangent_character(S, cfg, "nested" if nested else "hilbprod")
-        factors = []
-        for f in spec.factors:
-            char = _factor_character(S, cfg, f)
-            degree = {"total": None, "top": char.signed_rank(), "index": f.k}[f.kind]
-            factors.append((char, degree))
-        yield tangent, factors
+        chars = [_factor_character(S, cfg, f) for f in spec.factors]
+        yield tangent, reference_degrees(chars, spec)
 
 
 def reference_integrate(S, n1, n2, spec, x, y) -> Fraction:
@@ -111,7 +133,8 @@ class TestChernSeriesAgainstReference:
         assert all(type(e) is int for e in fast)
 
 
-def _cases():
+def _entry_cases():
+    """One call per entry (n1, n2), each read at its own bound."""
     S2, Q = surface_p2(), surface_p1xp1()
     out = []
     for S, coeffs in ((S2, [0, 0, 1]), (Q, [0, 0, 1, 1])):
@@ -132,9 +155,55 @@ def _cases():
     return out
 
 
-@pytest.mark.parametrize("S,n1,n2,spec", _cases())
+@pytest.mark.parametrize("S,n1,n2,spec", _entry_cases())
 def test_integrate_matches_rational_slow_path(S, n1, n2, spec):
     assert integrate(S, n1, n2, spec).value == reference_integrate(S, n1, n2, spec, *RATIONAL_POINT)
+
+
+# the custom-surface example of the README
+README_DESCRIPTOR = (
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    .split("```json\n", 1)[1].split("```", 1)[0]
+)
+
+
+def _table_cases():
+    """One call at (2, 2), or (2, 0) in hilb mode, read at every entry."""
+    out = []
+    for S, M in (
+        (surface_p2(), line_bundle(surface_p2(), [0, 0, 1])),
+        (surface_p1xp1(), line_bundle(surface_p1xp1(), [0, 0, 1, 1])),
+        (surface_hirzebruch(2), line_bundle(surface_hirzebruch(2), [0, 0, 1, 0])),
+        (surface_from_json(README_DESCRIPTOR), surface_from_json(README_DESCRIPTOR).bundle("L")),
+    ):
+        K = canonical_bundle(S)
+        specs = {
+            "nested-total": IntegrandSpec("nested", (total_chern_em(M),)),
+            "nested-index": IntegrandSpec("nested", (total_chern_em(), chern_index_em(1, M))),
+            "product-total-top": IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
+            "product-index": IntegrandSpec(
+                "product", (total_chern_em_rev(), chern_index_em(2, M))
+            ),
+            "product-tangent-taut": IntegrandSpec(
+                "product", (total_chern_twisted_tangent(M, slot=2), top_chern_taut(K, slot=2))
+            ),
+            "hilb-tangent": IntegrandSpec("hilb", (total_chern_tangent(),)),
+            "hilb-taut-top": IntegrandSpec("hilb", (total_chern_em(M), top_chern_taut(K, slot=1))),
+        }
+        for label, spec in specs.items():
+            out.append(pytest.param(S, spec, id=f"{S.name}-{label}"))
+    return out
+
+
+@pytest.mark.parametrize("S,spec", _table_cases())
+def test_every_entry_of_one_call_matches_rational_slow_path(S, spec):
+    n2 = 0 if spec.mode == "hilb" else 2
+    res = integrate(S, 2, n2, spec)
+    keys = [(a, b) for a in range(3) for b in range(n2 + 1) if spec.mode != "nested" or b <= a]
+    assert sorted(res.values) == sorted(res.config_counts) == keys
+    for a, b in keys:
+        assert res.values[(a, b)] == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+        assert res.config_counts[(a, b)] == len(list(enumerate_configs(S, a, b, enum_mode(spec))))
 
 
 @pytest.mark.parametrize("mode", ["nested", "product"])
@@ -145,10 +214,14 @@ def test_rational_point_and_scaled_integer_point_give_the_same_summand(mode):
     M = line_bundle(S, [0, 0, 1, 0])
     factors = (total_chern_em(M),) if mode == "nested" else (total_chern_em(M), top_chern_em())
     spec = IntegrandSpec(mode, factors)
-    prepared = _prepare(S, 2, 1, spec)
-    terms = list(reference_terms(S, 2, 1, spec))
-    assert len(prepared) == len(terms) > 0
-    for pc, (tangent, fs) in zip(prepared, terms):
-        slow = reference_summand(tangent, fs, x, y)
-        assert slow == reference_summand(tangent, fs, Fraction(X), Fraction(Y))
-        assert _eval_chunk(([pc], X, Y, tangent.signed_rank())) == slow
+    grading = _grading(spec, 2, 1)
+    chart = _chart_terms(S, spec, grading.reads)[1]
+    assert sum(map(len, chart.values())) > len(grading.reads)
+    for key, terms in chart.items():
+        for term in terms:
+            tangent, chars = term
+            fs = reference_degrees(chars, spec)
+            slow = reference_summand(tangent, fs, x, y)
+            assert slow == reference_summand(tangent, fs, Fraction(X), Fraction(Y))
+            den, grid = _chart_grid({key: [term]}, X, Y, spec, grading)
+            assert Fraction(_read(grid, key, grading), den) == slow

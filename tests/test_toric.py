@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from nesthilb.charalg import Weight
 from nesthilb.cli import main
 from nesthilb.errors import WrongCoefficientCount
 from nesthilb.toric import (
+    _check_edges,
     canonical_bundle,
     intersect,
     line_bundle,
@@ -166,6 +168,55 @@ class TestJsonDescriptor:
         path.write_text(json.dumps(doc))
         assert main(["--surface", f"file:{path}", "--bundle", "L", "--check", "theorem7"]) == 2
         assert "intersections" in capsys.readouterr().err
+
+    def test_descriptors_in_use_load(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        for text in (
+            (root / "perfbench" / "data" / "custom-plane.json").read_text(encoding="utf-8"),
+            readme.split("```json\n", 1)[1].split("```", 1)[0],
+        ):
+            assert surface_from_json(text).bundle("L").weights == tuple(
+                Weight(*pt["bundles"]["L"]) for pt in DESCRIPTOR["fixed_points"]
+            )
+
+    def test_fan_surfaces_meet_the_edge_conditions(self):
+        for S in (surface_p2(), surface_p1xp1(), surface_hirzebruch(2), surface_hirzebruch(3)):
+            M = line_bundle(S, list(range(1, len(S.rays) + 1)))
+            bundles = {"M": list(M.weights), "K": list(canonical_bundle(S).weights)}
+            _check_edges(list(S.charts), bundles)
+
+    def test_bundle_off_the_edge_rejected(self, tmp_path, capsys):
+        # L at fixed_points[1] moved by [0, 1]: not a multiple of the edge
+        # weight [1, 0] to fixed_points[0]; the sums would not be constant
+        bad = json.loads(json.dumps(DESCRIPTOR))
+        bad["fixed_points"][1]["bundles"]["L"] = [-1, 1]
+        message = r"fixed_points\[0\]: bundle 'L' .* fixed_points\[1\] differ by \[1, -1\]"
+        with pytest.raises(ValueError, match=message):
+            surface_from_json(json.dumps(bad))
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(bad))
+        assert main(["--surface", f"file:{path}", "--bundle", "L", "--check", "theorem7"]) == 2
+        assert "fixed_points[0]: bundle 'L'" in capsys.readouterr().err
+
+    def test_bundle_off_by_half_an_edge_rejected(self):
+        # the plane with s1 doubled loads; L then moved by half the edge
+        # weight [2, 0] is parallel to it but not an integer multiple
+        doubled = json.loads(json.dumps(DESCRIPTOR))
+        for pt in doubled["fixed_points"]:
+            for w in (pt["w1"], pt["w2"], pt["bundles"]["L"]):
+                w[0] *= 2
+        surface_from_json(json.dumps(doubled))
+        doubled["fixed_points"][1]["bundles"]["L"] = [-1, 0]
+        message = r"fixed_points\[0\]: .* by \[1, 0\], not a multiple of the chart weight \[2, 0\]"
+        with pytest.raises(ValueError, match=message):
+            surface_from_json(json.dumps(doubled))
+
+    def test_chart_weight_without_opposite_rejected(self):
+        bad = json.loads(json.dumps(DESCRIPTOR))
+        bad["fixed_points"][2]["w2"] = [2, -1]
+        with pytest.raises(ValueError, match=r"fixed_points\[1\]: chart weight \[-1, 1\]"):
+            surface_from_json(json.dumps(bad))
 
     def test_unknown_bundle_label(self):
         S = surface_from_json(json.dumps(DESCRIPTOR))

@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 import nesthilb.verify
-from nesthilb.errors import NestHilbError
+from nesthilb.charalg import GlobalCharacter, Weight
+from nesthilb.cli import main
+from nesthilb.errors import InconsistentTangent, NestHilbError
 from nesthilb.toric import canonical_bundle, line_bundle, surface_p1xp1, surface_p2
 from nesthilb.verify import (
     case2_check,
@@ -95,6 +98,18 @@ class TestGeneratingFunctionMatch:
             assert report.passed, report.entries
 
 
+class TestReachOfTheVertexProduct:
+    @pytest.mark.parametrize(
+        "make,coeffs", [(surface_p2, [0, 0, 1]), (surface_p1xp1, [0, 0, 1, 1])]
+    )
+    def test_theorem7_nmax_6_matches_closed_form(self, make, coeffs):
+        S = make()
+        M = line_bundle(S, coeffs)
+        lhs = theorem7_lhs(S, M, 6)
+        assert lhs.entries == theorem7_rhs(S, M, 6).entries
+        assert len(lhs.entries) == 28
+
+
 class TestNestedVsProduct:
     def test_trivial_case(self):
         r = theorem5_check(surface_p2(), surface_p2().bundle("O"), 0, 0)
@@ -143,6 +158,28 @@ class TestDimensionConsistency:
             r = case3_check(surface_p2(), n)
             assert r.passed
             assert r.entries[0][2] == 2 * n + 1
+
+    def test_failure_names_the_configuration(self, monkeypatch, capsys):
+        # the package attribute nesthilb.integrate is the function
+        integrate_module = sys.modules["nesthilb.integrate"]
+        real = integrate_module._tangent_character
+
+        def one_weight_short(S, cfg, mode):
+            tangent = real(S, cfg, mode)
+            if cfg.assignment[1][0].size == 2:  # outer partition of size 2 at point 1
+                tangent = tangent + GlobalCharacter({Weight(0, 0): 1})
+            return tangent
+
+        monkeypatch.setattr(integrate_module, "_tangent_character", one_weight_short)
+        with pytest.raises(InconsistentTangent) as err:
+            case3_check(surface_p2(), 1)
+        message = str(err.value)
+        assert "case3 on p2 at (2, 1)" in message
+        assert "[[]/[], [2]/[1], []/[]]" in message
+        assert "signed rank 4 (expected 3)" in message
+        assert "zero-weight multiplicity 1" in message
+        assert main(["--surface", "p2", "--check", "case3", "--nmax", "1"]) == 3
+        assert message in capsys.readouterr().err
 
 
 # engine-computed goldens: integral, specialization-constant values
