@@ -6,8 +6,9 @@ Usage: python3 scripts/run_all_checks.py [nmax] [seed]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nesthilb.cli import main
 

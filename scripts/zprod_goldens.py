@@ -6,8 +6,9 @@ Usage: python3 scripts/zprod_goldens.py [nmax]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nesthilb.toric import surface_p1xp1, surface_p2
 from nesthilb.verify import zprod_table

@@ -7,9 +7,10 @@ errors (a descriptor that does not load included), 3 on structural
 errors (non-constant localization sums, zero tangent weights, exhausted
 specializations, non-integral values, a case3 tangent of the wrong rank).
 
-The JSON report is byte-identical for a fixed seed; --workers is
-accepted and validated but has no effect.  Wall-clock timings are zeroed
-there unless --timings is given.
+The JSON report is byte-identical for a fixed seed.  --workers is
+validated here (at least 1) and used nowhere else: every check runs in
+one process.  Wall-clock timings are zeroed there unless --timings is
+given.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import NestHilbError, WrongCoefficientCount
 from .toric import (
@@ -44,19 +44,6 @@ CHECK_NAMES = ("theorem7", "theorem5", "case2", "case3", "zprod")
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    surface: str
-    bundle: str
-    check: str
-    nmax: int
-    seed: int
-    workers: int
-    output: str
-    out_path: str | None
-    timings: bool
 
 
 def parse_surface(selector: str) -> ToricSurfaceDescriptor:
@@ -97,6 +84,7 @@ def _merge(name: str, reports: list[CheckReport]) -> CheckReport:
         entries=entries,
         configs_evaluated=sum(r.configs_evaluated for r in reports),
         millis=sum(r.millis for r in reports),
+        informational=any(r.informational for r in reports),
     )
 
 
@@ -106,32 +94,27 @@ def run_checks(
     check: str,
     nmax: int,
     seed: int,
-    workers: int,
 ) -> list[CheckReport]:
     reports = []
     wanted = CHECK_NAMES if check == "all" else (check,)
-    # the nested-vs-product identity is only asserted on Fano surfaces
-    fano = S.fano
     for name in wanted:
         if name == "theorem7":
-            reports.append(theorem7_check(S, M, nmax, seed=seed, workers=workers))
+            reports.append(theorem7_check(S, M, nmax, seed=seed))
         elif name == "theorem5":
             subs = [
-                theorem5_check(S, M, n1, n2, seed=seed, workers=workers, asserted=fano)
+                theorem5_check(S, M, n1, n2, seed=seed)
                 for n1 in range(nmax + 1)
                 for n2 in range(n1 + 1)
             ]
-            merged = _merge("theorem5", subs)
-            merged.informational = not fano
-            reports.append(merged)
+            reports.append(_merge("theorem5", subs))
         elif name == "case2":
-            subs = [case2_check(S, M, n, seed=seed, workers=workers) for n in range(nmax + 1)]
+            subs = [case2_check(S, M, n, seed=seed) for n in range(nmax + 1)]
             reports.append(_merge("case2", subs))
         elif name == "case3":
             subs = [case3_check(S, n) for n in range(nmax + 1)]
             reports.append(_merge("case3", subs))
         elif name == "zprod":
-            table = zprod_table(S, M, nmax, seed=seed, workers=workers)
+            table = zprod_table(S, M, nmax, seed=seed)
             entries = tuple(
                 (n1, n2, table.entries[(n1, n2)], table.entries[(n1, n2)])
                 for n1, n2 in table.keys()
@@ -203,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", "-n", type=int, default=2, help="table truncation order")
     p.add_argument("--seed", type=int, default=0, help="specialization seed")
     p.add_argument("--workers", "-w", type=int, default=1,
-                   help="accepted (>= 1) but without effect: every check runs in one process")
+                   help="validated (>= 1) and otherwise unused: every check runs in one process")
     p.add_argument("--output", "-o", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--timings", action="store_true",
@@ -211,55 +194,47 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        if config.check != "all" and config.check not in CHECK_NAMES:
-            raise UsageError(f"unknown check {config.check!r}")
-        if config.nmax < 0:
+        if args.check != "all" and args.check not in CHECK_NAMES:
+            raise UsageError(f"unknown check {args.check!r}")
+        if args.nmax < 0:
             raise UsageError("nmax must be nonnegative")
-        if config.workers < 1:
+        if args.workers < 1:
             raise UsageError("workers must be >= 1")
-        S = parse_surface(config.surface)
-        M, coeffs = parse_bundle(S, config.bundle)
+        S = parse_surface(args.surface)
+        M, coeffs = parse_bundle(S, args.bundle)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        reports = run_checks(S, M, config.check, config.nmax, config.seed, config.workers)
+        reports = run_checks(S, M, args.check, args.nmax, args.seed)
     except NestHilbError as exc:
         print(
-            f"structural error on surface={config.surface} bundle={config.bundle}: {exc}",
+            f"structural error on surface={args.surface} bundle={args.bundle}: {exc}",
             file=sys.stderr,
         )
         return 3
 
-    if config.output == "json":
-        text = report_json(S, coeffs, config.seed, reports, config.timings)
+    if args.output == "json":
+        text = report_json(S, coeffs, args.seed, reports, args.timings)
     else:
         text = report_text(reports)
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed or r.informational for r in reports) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        surface=args.surface,
-        bundle=args.bundle,
-        check=args.check,
-        nmax=args.nmax,
-        seed=args.seed,
-        workers=args.workers,
-        output=args.output,
-        out_path=args.out,
-        timings=args.timings,
-    )
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ equals n1 + n2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .charalg import LocalCharacter
@@ -67,13 +68,17 @@ class FixedConfig:
         return [box_char(p2) for _, p2 in self.assignment]
 
 
-def local_pair_chars(a: int, b: int, mode: str) -> list[tuple[LocalCharacter, LocalCharacter]]:
-    """Box characters (Z1, Z2) of every partition pair of sizes (a, b) one
-    fixed point can carry: boxwise nested in nested mode, independent in
-    product mode."""
+def local_pairs(a: int, b: int, mode: str) -> list[tuple[Partition, Partition]]:
+    """Every partition pair of sizes (a, b) one fixed point can carry:
+    boxwise nested in nested mode, independent in product mode."""
     if mode == "nested":
-        return [(box_char(pr.outer), box_char(pr.inner)) for pr in nested_pairs(a, b)]
-    return [(box_char(p1), box_char(p2)) for p1 in partitions_of(a) for p2 in partitions_of(b)]
+        return [(pr.outer, pr.inner) for pr in nested_pairs(a, b)]
+    return list(product(partitions_of(a), partitions_of(b)))
+
+
+def local_pair_chars(a: int, b: int, mode: str) -> list[tuple[LocalCharacter, LocalCharacter]]:
+    """Box characters (Z1, Z2) of every local pair (``local_pairs``)."""
+    return [(box_char(p1), box_char(p2)) for p1, p2 in local_pairs(a, b, mode)]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -100,22 +105,6 @@ def enumerate_configs(
         for sizes2 in _compositions(n2, npts):
             if mode == "nested" and any(b > a for a, b in zip(sizes1, sizes2)):
                 continue
-            per_point: list[list[tuple[Partition, Partition]]] = []
-            for a, b in zip(sizes1, sizes2):
-                if mode == "nested":
-                    per_point.append([(pr.outer, pr.inner) for pr in nested_pairs(a, b)])
-                else:
-                    per_point.append(
-                        [(p1, p2) for p1 in partitions_of(a) for p2 in partitions_of(b)]
-                    )
-            for combo in _product_of(per_point):
-                yield FixedConfig(tuple(combo), n1, n2)
-
-
-def _product_of(choices: list[list]) -> Iterator[list]:
-    if not choices:
-        yield []
-        return
-    for head in choices[0]:
-        for tail in _product_of(choices[1:]):
-            yield [head] + tail
+            per_point = [local_pairs(a, b, mode) for a, b in zip(sizes1, sizes2)]
+            for combo in product(*per_point):
+                yield FixedConfig(combo, n1, n2)

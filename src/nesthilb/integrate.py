@@ -54,6 +54,8 @@ from .fixedchar import (  # enumerate_configs is the tests' oracle, not called h
 from .sampling import Point, certified_value, make_rng, random_point
 from .toric import EquivariantLineBundle, FixedPointChart, ToricSurfaceDescriptor
 
+_NPOINTS = 3  # specialization points that must agree
+
 
 @dataclass(frozen=True)
 class Factor:
@@ -139,18 +141,6 @@ def _vdim(mode: str, n1: int, n2: int) -> int:
     return 2 * (n1 + n2)  # product of smooth Hilbert schemes; hilb has n2 = 0
 
 
-def _tangent_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, mode: str) -> GlobalCharacter:
-    total = GlobalCharacter()
-    Z1s, Z2s = cfg.outer_chars(), cfg.inner_chars()
-    for chart, Z1, Z2 in zip(S.charts, Z1s, Z2s):
-        if mode == "nested":
-            local = nested_tangent_char(Z1, Z2)
-        else:
-            local = hilb_tangent_char(Z1) + hilb_tangent_char(Z2)
-        total = total + substitute_chart(local, chart.w1, chart.w2)
-    return total
-
-
 def _factor_rank(f: Factor, n1: int, n2: int) -> int:
     if f.klass in ("em", "em_rev"):
         return n1 + n2
@@ -158,31 +148,6 @@ def _factor_rank(f: Factor, n1: int, n2: int) -> int:
     if f.klass == "taut":
         return n
     return 2 * n  # tangent
-
-
-def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) -> GlobalCharacter:
-    total = GlobalCharacter()
-    Z1s, Z2s = cfg.outer_chars(), cfg.inner_chars()
-    for i, chart in enumerate(S.charts):
-        Z1, Z2 = Z1s[i], Z2s[i]
-        if f.klass == "em":
-            local = em_char(Z1, Z2)
-        elif f.klass == "em_rev":
-            local = em_char(Z2, Z1)
-        elif f.klass == "tangent":
-            local = hilb_tangent_char(Z1 if f.slot == 1 else Z2)
-        elif f.klass == "taut":
-            local = Z1 if f.slot == 1 else Z2
-        else:
-            raise ValueError(f"unknown factor class {f.klass!r}")
-        piece = substitute_chart(local, chart.w1, chart.w2)
-        if f.bundle is not None:
-            # Substituted characters live in the convention dual to the
-            # stored bundle weights (the tangent of the surface comes out
-            # as -w1, -w2), so a twist by M shifts by the dual weight.
-            piece = piece.translate(-f.bundle.weights[i])
-        total = total + piece
-    return total
 
 
 class _Grading(NamedTuple):
@@ -239,6 +204,38 @@ def _local_factor(Z1: LocalCharacter, Z2: LocalCharacter, f: Factor) -> LocalCha
     raise ValueError(f"unknown factor class {f.klass!r}")
 
 
+def _at_chart(
+    char: LocalCharacter, chart: FixedPointChart, shift: Weight | None
+) -> GlobalCharacter:
+    g = substitute_chart(char, chart.w1, chart.w2)
+    return g if shift is None else g.translate(shift)
+
+
+def _shift(f: Factor, i: int) -> Weight | None:
+    """Substituted characters live in the convention dual to the stored
+    bundle weights (the tangent of the surface comes out as -w1, -w2), so
+    a twist by M shifts factor f at chart i by the dual of M's weight."""
+    return None if f.bundle is None else -f.bundle.weights[i]
+
+
+# The brute-force oracle of the tests: the characters of one global
+# configuration, summed over the charts from the same local terms.
+def _tangent_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, mode: str) -> GlobalCharacter:
+    pairs = zip(S.charts, cfg.outer_chars(), cfg.inner_chars())
+    return sum(
+        (_at_chart(_local_tangent(Z1, Z2, mode), chart, None) for chart, Z1, Z2 in pairs),
+        GlobalCharacter(),
+    )
+
+
+def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) -> GlobalCharacter:
+    pairs = enumerate(zip(S.charts, cfg.outer_chars(), cfg.inner_chars()))
+    return sum(
+        (_at_chart(_local_factor(Z1, Z2, f), chart, _shift(f, i)) for i, (chart, Z1, Z2) in pairs),
+        GlobalCharacter(),
+    )
+
+
 # per local pair: the tangent character and the characters of the factors
 _VertexTerm = tuple[GlobalCharacter, tuple[GlobalCharacter, ...]]
 # one chart's vertex terms, by local sizes (a, b)
@@ -251,8 +248,7 @@ def _chart_terms(
     """The vertex terms of every chart, by local sizes (a, b).
 
     Local characters are built once per local pair and substituted at
-    every chart; a twist by M shifts by the dual of M's weight there (see
-    ``_factor_character``).
+    every chart.
     """
     pair_mode = "nested" if spec.mode == "nested" else "product"
     local = {
@@ -264,7 +260,7 @@ def _chart_terms(
     }
     charts = []
     for i, chart in enumerate(S.charts):
-        shifts = [None if f.bundle is None else -f.bundle.weights[i] for f in spec.factors]
+        shifts = [_shift(f, i) for f in spec.factors]
         charts.append({
             key: [
                 (
@@ -276,13 +272,6 @@ def _chart_terms(
             for key, terms in local.items()
         })
     return charts
-
-
-def _at_chart(
-    char: LocalCharacter, chart: FixedPointChart, shift: Weight | None
-) -> GlobalCharacter:
-    g = substitute_chart(char, chart.w1, chart.w2)
-    return g if shift is None else g.translate(shift)
 
 
 # a grid maps local or global sizes (a, b) to a series in (v_1.., u):
@@ -370,23 +359,11 @@ def _config_counts(charts: list[_ChartTerms], grading: _Grading) -> dict[tuple[i
 
 
 def integrate(
-    S: ToricSurfaceDescriptor,
-    n1: int,
-    n2: int,
-    spec: IntegrandSpec,
-    seed: int = 0,
-    workers: int = 1,
-    npoints: int = 3,
+    S: ToricSurfaceDescriptor, n1: int, n2: int, spec: IntegrandSpec, seed: int = 0
 ) -> InvariantResult:
     """Localize the integrand over the moduli of every size (a, b) <=
     (n1, n2), b <= a in nested mode, and return the exact common values of
-    all specialization evaluations.
-
-    ``workers`` is validated and has no effect: a whole table costs less
-    than starting a process pool.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    all specialization evaluations."""
     if n1 < 0 or n2 < 0 or (spec.mode == "nested" and n1 < n2):
         raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode {spec.mode!r}")
     grading = _grading(spec, n1, n2)
@@ -395,7 +372,7 @@ def integrate(
     values, points = certified_value(
         lambda x, y: _evaluate(charts, x, y, spec, grading),
         lambda: random_point(rng),
-        npoints,
+        _NPOINTS,
         f"{S.name} ({n1}, {n2}, {spec.mode})",
     )
     return InvariantResult(
@@ -409,14 +386,9 @@ def integrate(
 
 
 def integrate_hilb(
-    S: ToricSurfaceDescriptor,
-    n: int,
-    spec: IntegrandSpec,
-    seed: int = 0,
-    workers: int = 1,
-    npoints: int = 3,
+    S: ToricSurfaceDescriptor, n: int, spec: IntegrandSpec, seed: int = 0
 ) -> InvariantResult:
     """Localization over the single Hilbert scheme of n points (slot 1)."""
     if spec.mode != "hilb":
         raise ValueError(f"integrate_hilb needs a 'hilb' spec, got mode {spec.mode!r}")
-    return integrate(S, n, 0, spec, seed=seed, workers=workers, npoints=npoints)
+    return integrate(S, n, 0, spec, seed=seed)

@@ -22,6 +22,8 @@ from .charalg import Rational, Weight
 from .errors import DependentChartWeights, SpecializationPole, WrongCoefficientCount
 from .sampling import certified_value, make_rng, random_point
 
+_PAIRING_NPOINTS = 2  # specialization points that must agree
+
 
 def _det(v1: tuple[int, int], v2: tuple[int, int]) -> int:
     return v1[0] * v2[1] - v1[1] * v2[0]
@@ -181,7 +183,6 @@ def intersect(
     L: EquivariantLineBundle,
     Lp: EquivariantLineBundle,
     seed: int = 0,
-    npoints: int = 2,
 ) -> Rational:
     """Poincare pairing <L, L'> by surface-level localization.
 
@@ -203,7 +204,7 @@ def intersect(
     value, _ = certified_value(
         evaluate,
         lambda: random_point(rng),
-        npoints,
+        _PAIRING_NPOINTS,
         f"{S.name} pairing <{L.label}, {Lp.label}>",
     )
     return value
@@ -251,6 +252,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
     per_label: dict[str, list[Weight]] = {}
     for k, pt in enumerate(points):
         where = f"fixed_points[{k}]"
+        if not isinstance(pt, dict):
+            raise ValueError(f"{where}: expected an object, got {pt!r}")
         w1 = _parse_weight(pt.get("w1"), where + ".w1")
         w2 = _parse_weight(pt.get("w2"), where + ".w2")
         try:

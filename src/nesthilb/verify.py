@@ -72,11 +72,10 @@ def _localization_table(
     nmax: int,
     spec: IntegrandSpec,
     seed: int,
-    workers: int,
 ) -> CoeffTable:
     """Integrate spec at every (n1, n2) with n2 <= n1 <= nmax, in one call."""
     table = CoeffTable(S.name, M.label, "localization", nmax)
-    res = integrate(S, nmax, nmax, spec, seed=seed, workers=workers)
+    res = integrate(S, nmax, nmax, spec, seed=seed)
     for key in _table_keys(nmax):
         table.entries[key] = res.values[key]
         table.configs += res.config_counts[key]
@@ -88,12 +87,11 @@ def theorem7_lhs(
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> CoeffTable:
     """Signed nested-scheme integrals of the total Chern class of the
     extension class twisted by M."""
     spec = IntegrandSpec("nested", (total_chern_em(M),))
-    table = _localization_table(S, M, nmax, spec, seed, workers)
+    table = _localization_table(S, M, nmax, spec, seed)
     table.entries = {(n1, n2): (-1) ** (n1 + n2) * v for (n1, n2), v in table.entries.items()}
     return table
 
@@ -143,10 +141,9 @@ def theorem7_check(
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> CheckReport:
     t0 = time.monotonic()
-    lhs = theorem7_lhs(S, M, nmax, seed=seed, workers=workers)
+    lhs = theorem7_lhs(S, M, nmax, seed=seed)
     rhs = theorem7_rhs(S, M, nmax, seed=seed)
     entries = tuple(
         (n1, n2, lhs.entries[(n1, n2)], rhs.entries[(n1, n2)])
@@ -167,29 +164,26 @@ def theorem5_check(
     n2: int,
     seed: int = 0,
     workers: int = 1,
-    asserted: bool = True,
 ) -> CheckReport:
     """Nested integral vs product integral with the extra top Chern factor.
 
-    The identity is stated for Fano surfaces; pass asserted=False on
-    other surfaces to compute and report agreement without asserting it.
+    The identity is stated for Fano surfaces (``S.fano``); on other
+    surfaces agreement is reported as informational, not asserted.
+    ``workers`` is validated and has no effect.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.monotonic()
-    lhs = integrate(
-        S, n1, n2, IntegrandSpec("nested", (total_chern_em(M),)),
-        seed=seed, workers=workers,
-    )
+    lhs = integrate(S, n1, n2, IntegrandSpec("nested", (total_chern_em(M),)), seed=seed)
     rhs = integrate(
-        S, n1, n2,
-        IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
-        seed=seed, workers=workers,
+        S, n1, n2, IntegrandSpec("product", (total_chern_em(M), top_chern_em())), seed=seed
     )
     return CheckReport(
         name="theorem5",
         entries=((n1, n2, lhs.value, rhs.value),),
         configs_evaluated=lhs.config_count + rhs.config_count,
         millis=int((time.monotonic() - t0) * 1000),
-        informational=not asserted,
+        informational=not S.fano,
     )
 
 
@@ -198,20 +192,14 @@ def case2_check(
     M: EquivariantLineBundle,
     n: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> CheckReport:
     """Inner-empty nested scheme vs the Hilbert scheme with a
     canonical tautological top Chern twist, up to the sign (-1)^n."""
     t0 = time.monotonic()
-    lhs = integrate(
-        S, n, 0, IntegrandSpec("nested", (total_chern_em(M),)),
-        seed=seed, workers=workers,
-    )
+    lhs = integrate(S, n, 0, IntegrandSpec("nested", (total_chern_em(M),)), seed=seed)
     K = canonical_bundle(S)
     rhs = integrate_hilb(
-        S, n,
-        IntegrandSpec("hilb", (total_chern_em(M), top_chern_taut(K, slot=1))),
-        seed=seed, workers=workers,
+        S, n, IntegrandSpec("hilb", (total_chern_em(M), top_chern_taut(K, slot=1))), seed=seed
     )
     sign = -1 if n % 2 else 1
     return CheckReport(
@@ -259,7 +247,6 @@ def zprod_table(
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> CoeffTable:
     """Product-side generating series: total Chern of the untwisted
     extension class times total Chern of the M-twisted one, integrated
@@ -269,7 +256,7 @@ def zprod_table(
     constancy and integrality, and pinned as regression goldens.
     """
     spec = IntegrandSpec("product", (total_chern_em(), total_chern_em(M)))
-    table = _localization_table(S, M, nmax, spec, seed, workers)
+    table = _localization_table(S, M, nmax, spec, seed)
     for (n1, n2), value in table.entries.items():
         if value.denominator != 1:
             raise NestHilbError(f"non-integral zprod {value} on {S.name} at ({n1}, {n2})")

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +74,18 @@ class TestExitCodes:
         path.write_text(json.dumps(descriptor))
         assert run_cli(["--surface", f"file:{path}"]) == 2
         assert "fixed_points[0]: chart weights" in capsys.readouterr().err
+
+    def test_non_object_fixed_point_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"name": "ints", "fixed_points": [1, 2, 3]}))
+        assert run_cli(["--surface", f"file:{path}"]) == 2
+        assert "fixed_points[0]: expected an object" in capsys.readouterr().err
+
+    def test_unwritable_out_path_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        code = run_cli(["--check", "theorem7", "--nmax", "1", "--out", str(path)])
+        assert code == 2
+        assert f"error: cannot write report to {path}: " in capsys.readouterr().err
 
     def test_all_checks_quadric(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -148,7 +163,7 @@ class TestFanoDecision:
                     f"file:{path}": True}
         for selector, informational in expected.items():
             S = parse_surface(selector)
-            (report,) = run_checks(S, S.bundle("O"), "theorem5", 1, seed=0, workers=1)
+            (report,) = run_checks(S, S.bundle("O"), "theorem5", 1, seed=0)
             assert report.informational is informational, selector
 
 
@@ -159,3 +174,12 @@ class TestParser:
         assert args.bundle == "O"
         assert args.check == "all"
         assert args.workers == 1
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["run_all_checks.py", "zprod_goldens.py"])
+    def test_runs_outside_the_repo_root(self, script, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        done = subprocess.run([sys.executable, str(path), "1"], cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -78,15 +78,6 @@ class TestDeterminismAndConstancy:
         assert a.value == b.value
         assert a.specializations != b.specializations
 
-    def test_worker_count_does_not_change_result(self):
-        a = integrate(surface_p1xp1(), 2, 1, NESTED_EO, seed=3, workers=1)
-        b = integrate(surface_p1xp1(), 2, 1, NESTED_EO, seed=3, workers=4)
-        assert a == b
-
-    def test_worker_count_below_one_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            integrate(surface_p2(), 1, 0, NESTED_EO, workers=0)
-
     def test_three_specializations_recorded(self):
         r = integrate(surface_p2(), 1, 1, NESTED_EO)
         assert len(r.specializations) == 3

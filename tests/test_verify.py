@@ -7,7 +7,13 @@ import nesthilb.verify
 from nesthilb.charalg import GlobalCharacter, Weight
 from nesthilb.cli import main
 from nesthilb.errors import InconsistentTangent, NestHilbError
-from nesthilb.toric import canonical_bundle, line_bundle, surface_p1xp1, surface_p2
+from nesthilb.toric import (
+    canonical_bundle,
+    line_bundle,
+    surface_hirzebruch,
+    surface_p1xp1,
+    surface_p2,
+)
 from nesthilb.verify import (
     case2_check,
     case3_check,
@@ -126,9 +132,15 @@ class TestNestedVsProduct:
         assert r.passed
 
     def test_informational_flag(self):
-        S = surface_p2()
-        r = theorem5_check(S, S.bundle("O"), 1, 0, asserted=False)
+        # the identity is stated for Fano surfaces, and F_2 is not Fano
+        S = surface_hirzebruch(2)
+        r = theorem5_check(S, S.bundle("O"), 1, 0)
         assert r.informational and r.passed
+
+    def test_workers_keyword_validated(self):
+        S = surface_p2()
+        with pytest.raises(ValueError, match="workers"):
+            theorem5_check(S, S.bundle("O"), 1, 0, workers=0)
 
 
 class TestHilbertSchemeReduction:
