@@ -13,9 +13,11 @@ summand is a product of local terms and a whole table is one product
 
 whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  "Total" factors are
 graded by u; each "top" or "index" factor by a variable of its own, so
-that its kept degree is selected globally.  The configuration sum stays
-(``enumerate_configs``, ``_tangent_character``, ``_factor_character``) as
-the brute-force oracle of the tests.
+that its kept degree is selected globally.  Nothing here sums over
+configurations: the configuration sum (``enumerate_configs``,
+``_tangent_character``, ``_factor_character``) is the tests' brute-force
+oracle, kept in the package only because the benchmark trace
+(``perfbench/tracing.py`` ``SITES``) binds those names.
 
 Z is evaluated exactly at several seeded random integer points, which
 must agree.  That is exact because every summand is homogeneous of
@@ -28,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import add, gt
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .charalg import (
     GlobalCharacter,
@@ -43,12 +46,13 @@ from .charalg import (
     substitute_chart,
 )
 from .errors import InvalidNesting
-from .fixedchar import (  # enumerate_configs is the tests' oracle, not called here
+from .fixedchar import (  # enumerate_configs: never called, bound for the benchmark trace
     FixedConfig,
     em_char,
     enumerate_configs,
     hilb_tangent_char,
     local_pair_chars,
+    local_pairs,
     nested_tangent_char,
 )
 from .sampling import Point, certified_value, make_rng, random_point
@@ -218,8 +222,8 @@ def _shift(f: Factor, i: int) -> Weight | None:
     return None if f.bundle is None else -f.bundle.weights[i]
 
 
-# The brute-force oracle of the tests: the characters of one global
-# configuration, summed over the charts from the same local terms.
+# The brute-force oracle of the tests, never called here: the characters of
+# one global configuration, summed over the charts from the same local terms.
 def _tangent_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, mode: str) -> GlobalCharacter:
     pairs = zip(S.charts, cfg.outer_chars(), cfg.inner_chars())
     return sum(
@@ -356,6 +360,49 @@ def _config_counts(charts: list[_ChartTerms], grading: _Grading) -> dict[tuple[i
     units = ({key: {(): [len(ts)]} for key, ts in terms.items()} for terms in charts)
     product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0, caps=()), units)
     return {key: product[key][()][0] for key in grading.reads}
+
+
+def _witness(products: list[_Grid], witnesses: dict, key: tuple[int, int], cls: tuple) -> list:
+    """A configuration of sizes ``key`` and tangent class ``cls``, one pair
+    per chart, rebuilt by backtracking through the chart products."""
+    pairs = []
+    for before in reversed(products[:-1]):
+        key, cls, pair = next(
+            ((key[0] - a, key[1] - b), (cls[0] - r, cls[1] - z), pair)
+            for (a, b), classes in witnesses.items()
+            for (r, z), pair in classes.items()
+            if (cls[0] - r, cls[1] - z) in before.get((key[0] - a, key[1] - b), {})
+        )
+        pairs.append(pair)
+    return [witnesses[key][cls], *reversed(pairs)]
+
+
+def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, Callable]:
+    """Nested configurations of sizes (a, b) <= (n1, n2) counted by the
+    class (signed rank, zero-weight multiplicity) of their tangent, with
+    no enumeration: ``{(a, b): {class: count}}``, and ``witness(key,
+    cls)``, which names one configuration of a class as its partition
+    pairs per chart.
+
+    A configuration's tangent is the sum of its local tangents, so its
+    class is the sum of their classes.  Chart weights are linearly
+    independent (``FixedPointChart`` checks it at load), so only the
+    local exponent (0, 0) substitutes to the zero weight.
+    """
+    local: _Grid = {}
+    witnesses: dict = {}
+    for key in ((a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1)):
+        for pair, (Z1, Z2) in zip(local_pairs(*key, "nested"), local_pair_chars(*key, "nested")):
+            t = _local_tangent(Z1, Z2, "nested")
+            cls = (t.signed_rank(), t.terms.get((0, 0), 0))
+            local.setdefault(key, {}).setdefault(cls, [0])[0] += 1
+            witnesses.setdefault(key, {}).setdefault(cls, pair)
+    # _times drops classes above caps; each sums one local class per chart
+    cap = len(S.charts) * max(abs(v) for classes in local.values() for cls in classes for v in cls)
+    times = partial(_times, n1=n1, n2=n2, ucut=0, caps=(cap, cap))
+    products = list(accumulate(repeat(local, len(S.charts)), times))  # over charts 0..k
+    counts = {key: {cls: c for cls, (c,) in cs.items()} for key, cs in products[-1].items()}
+    return counts, partial(_witness, products, witnesses)
 
 
 def integrate(

@@ -4,7 +4,9 @@ Each check compares two independently computed exact quantities: a
 nested-scheme localization sum against either a closed-form product
 expansion (the generating-function check), a product-of-Hilbert-schemes
 localization with an extra top Chern factor, or a single Hilbert scheme
-with a tautological twist.
+with a tautological twist.  The dimension check (case3) compares the
+tangent rank that every (n+1, n) configuration shares, counted by
+tangent class from local terms, with 2n + 1.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .integrate import (
     IntegrandSpec,
     integrate,
     integrate_hilb,
+    tangent_classes,
     top_chern_em,
     top_chern_taut,
     total_chern_em,
@@ -210,34 +213,40 @@ def case2_check(
     )
 
 
-def case3_check(S: ToricSurfaceDescriptor, n: int) -> CheckReport:
-    """Dimension consistency of the (n+1, n) nested scheme.
+def case3_check(S: ToricSurfaceDescriptor, nmax: int) -> CheckReport:
+    """Dimension consistency of the (n+1, n) nested schemes, n <= nmax.
 
-    Checks that the signed rank of every tangent character equals 2n + 1
-    and that no tangent character contains the zero weight; a
-    configuration that fails raises InconsistentTangent naming it.  The
-    projectivized comparison itself is not computed.
+    Every configuration's tangent must have signed rank 2n + 1 and no zero
+    weight.  Configurations are counted by tangent class from local terms
+    (``tangent_classes``), never enumerated.  An entry compares the rank
+    that all its configurations share, read from the counts, with 2n + 1.
+    If any configuration fails, InconsistentTangent says how many and
+    names one.  The projectivized comparison itself is not computed.
     """
-    from .fixedchar import enumerate_configs
-    from .integrate import _tangent_character
-
     t0 = time.monotonic()
-    expected = 2 * n + 1
-    count = 0
-    for cfg in enumerate_configs(S, n + 1, n, "nested"):
-        tangent = _tangent_character(S, cfg, "nested")
-        count += 1
-        if tangent.signed_rank() != expected or tangent.zero_multiplicity() != 0:
-            pairs = ", ".join(f"{list(o.parts)}/{list(i.parts)}" for o, i in cfg.assignment)
+    classes, witness = tangent_classes(S, nmax + 1, nmax)
+    entries = []
+    configs = 0
+    for n in range(nmax + 1):
+        expected = 2 * n + 1
+        counts = classes[(n + 1, n)]
+        bad = sorted(cls for cls in counts if cls != (expected, 0))
+        if bad:
+            pairs = witness((n + 1, n), bad[0])
             raise InconsistentTangent(
-                f"case3 on {S.name} at ({n + 1}, {n}): partition pairs [{pairs}] give "
-                f"a tangent of signed rank {tangent.signed_rank()} (expected {expected}) "
-                f"and zero-weight multiplicity {tangent.zero_multiplicity()}"
+                f"case3 on {S.name} at ({n + 1}, {n}): {sum(counts[c] for c in bad)} of "
+                f"{sum(counts.values())} configurations fail; partition pairs "
+                f"[{', '.join(f'{list(o.parts)}/{list(i.parts)}' for o, i in pairs)}] give a "
+                f"tangent of signed rank {bad[0][0]} (expected {expected}) and zero-weight "
+                f"multiplicity {bad[0][1]}"
             )
+        [((rank, _), count)] = counts.items()
+        entries.append((n + 1, n, Fraction(rank), Fraction(expected)))
+        configs += count
     return CheckReport(
         name="case3",
-        entries=((n + 1, n, Fraction(expected), Fraction(expected)),),
-        configs_evaluated=count,
+        entries=tuple(entries),
+        configs_evaluated=configs,
         millis=int((time.monotonic() - t0) * 1000),
     )
 

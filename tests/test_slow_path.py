@@ -6,9 +6,13 @@ Euler class as a product of Fraction powers, reads top degrees off the
 signed ranks of the characters, and sums the localization formula over
 every global configuration of ``enumerate_configs`` at rational points.
 It shares only the character formulas with the engine, which multiplies
-one local factor per fixed point instead.
+one local factor per fixed point instead.  case3's class counts are
+checked the same way, against the classes of every enumerated
+configuration's tangent.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nesthilb.charalg import GlobalCharacter, Weight, chern_useries
-from nesthilb.fixedchar import enumerate_configs
+from nesthilb.charalg import GlobalCharacter, LocalCharacter, Weight, chern_useries
+from nesthilb.errors import InconsistentTangent
+from nesthilb.fixedchar import FixedConfig, enumerate_configs
 from nesthilb.integrate import (
     IntegrandSpec,
     _chart_grid,
@@ -28,6 +33,7 @@ from nesthilb.integrate import (
     _tangent_character,
     chern_index_em,
     integrate,
+    tangent_classes,
     top_chern_em,
     top_chern_taut,
     total_chern_em,
@@ -35,6 +41,7 @@ from nesthilb.integrate import (
     total_chern_tangent,
     total_chern_twisted_tangent,
 )
+from nesthilb.partitions import Partition, box_char
 from nesthilb.toric import (
     canonical_bundle,
     line_bundle,
@@ -43,6 +50,7 @@ from nesthilb.toric import (
     surface_p1xp1,
     surface_p2,
 )
+from nesthilb.verify import case3_check
 
 # x/y is far from every ratio -b/a of small weights, so no weight vanishes
 RATIONAL_POINT = (Fraction(7919, 13), Fraction(104729, 17))
@@ -225,3 +233,100 @@ def test_rational_point_and_scaled_integer_point_give_the_same_summand(mode):
             assert slow == reference_summand(tangent, fs, Fraction(X), Fraction(Y))
             den, grid = _chart_grid({key: [term]}, X, Y, spec, grading)
             assert Fraction(_read(grid, key, grading), den) == slow
+
+
+def oracle_classes(S, n):
+    """(signed rank, zero-weight multiplicity) of every (n+1, n) configuration's tangent."""
+    return Counter(
+        (t.signed_rank(), t.zero_multiplicity())
+        for t in (_tangent_character(S, cfg, "nested") for cfg in enumerate_configs(S, n + 1, n))
+    )
+
+
+def show(pairs):
+    return ", ".join(f"{list(o.parts)}/{list(i.parts)}" for o, i in pairs)
+
+
+def _defect(outer, inner, extra):
+    """A local tangent with ``extra`` added at the one local pair (outer, inner)."""
+    chars = (box_char(Partition(outer)), box_char(Partition(inner)))
+    real = sys.modules["nesthilb.integrate"]._local_tangent
+
+    def tangent(Z1, Z2, mode):
+        t = real(Z1, Z2, mode)
+        return t + extra if (Z1, Z2) == chars else t
+
+    return tangent
+
+
+DEFECTS = {
+    "none": None,
+    # a zero weight at unchanged signed rank
+    "zero-weight": lambda: _defect((2,), (1,), LocalCharacter({(0, 0): 1, (1, 1): -1})),
+    # (1, 1) pairs repeat across charts, so sums reach several times the
+    # largest local rank; a cap without the chart count would drop them
+    "rank-offset": lambda: _defect((1,), (1,), LocalCharacter.monomial(1, 0, 100)),
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize(
+    "S",
+    [surface_p2(), surface_p1xp1(), surface_hirzebruch(2), surface_from_json(README_DESCRIPTOR)],
+    ids=lambda S: S.name,
+)
+def test_case3_class_counts_match_the_oracle(S, defect, monkeypatch):
+    if DEFECTS[defect]:
+        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "_local_tangent", DEFECTS[defect]())
+    classes, witness = tangent_classes(S, 4, 3)
+    first_failure = None
+    configs = 0
+    for n in range(4):
+        oracle = oracle_classes(S, n)
+        counts = classes[(n + 1, n)]
+        assert counts == dict(oracle)
+        configs += sum(counts.values())
+        assert sum(counts.values()) == len(list(enumerate_configs(S, n + 1, n)))
+        for cls in counts:  # every class has a witness of that class
+            pairs = witness((n + 1, n), cls)
+            tangent = _tangent_character(S, FixedConfig(tuple(pairs), n + 1, n), "nested")
+            assert len(pairs) == len(S.charts)
+            assert (tangent.signed_rank(), tangent.zero_multiplicity()) == cls
+        failing = sum(k for cls, k in oracle.items() if cls != (2 * n + 1, 0))
+        if failing and first_failure is None:
+            first_failure = (n, failing, sum(oracle.values()))
+    if defect == "none":
+        assert first_failure is None
+        report = case3_check(S, 3)
+        assert report.passed
+        assert report.configs_evaluated == configs
+        return
+    n, failing, total = first_failure
+    with pytest.raises(InconsistentTangent) as err:
+        case3_check(S, 3)
+    message = str(err.value)
+    assert f"case3 on {S.name} at ({n + 1}, {n}): {failing} of {total} configurations" in message
+    named = message.split("partition pairs [", 1)[1].split("] give", 1)[0]
+    cfg = next(c for c in enumerate_configs(S, n + 1, n) if show(c.assignment) == named)
+    tangent = _tangent_character(S, cfg, "nested")
+    assert (tangent.signed_rank(), tangent.zero_multiplicity()) != (2 * n + 1, 0)
+    assert f"signed rank {tangent.signed_rank()} (expected {2 * n + 1})" in message
+    assert f"zero-weight multiplicity {tangent.zero_multiplicity()}" in message
+
+
+@pytest.mark.parametrize(
+    "S,total,per_entry",
+    [
+        (surface_p2(), 9738, None),
+        (surface_p1xp1(), 34776, [4, 20, 76, 236, 656, 1664, 3960, 8920, 19240]),
+    ],
+    ids=["p2", "p1xp1"],
+)
+def test_case3_nmax_8_golden(S, total, per_entry):
+    # the counts of the enumerating case3, which walked every configuration
+    report = case3_check(S, 8)
+    assert report.passed
+    assert report.configs_evaluated == total
+    if per_entry:
+        classes, _ = tangent_classes(S, 9, 8)
+        assert [classes[(n + 1, n)][(2 * n + 1, 0)] for n in range(9)] == per_entry

@@ -21,6 +21,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_configuration_enumeration():
+    # every check runs on local terms; these stay defined only as the tests'
+    # oracle and because the benchmark trace binds them
+    oracle = {"enumerate_configs", "_tangent_character", "_factor_character"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in oracle
+    ]
+    assert found == []
+
+
 def test_benchmark_trace_sites_exist():
     # the traced benchmark patches each (module[:Class], attribute) in
     # perfbench/tracing.py SITES and dies with KeyError on a missing one

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import nesthilb.verify
-from nesthilb.charalg import GlobalCharacter, Weight
+from nesthilb.charalg import LocalCharacter
 from nesthilb.cli import main
 from nesthilb.errors import InconsistentTangent, NestHilbError
 from nesthilb.toric import (
@@ -166,28 +166,28 @@ class TestHilbertSchemeReduction:
 
 class TestDimensionConsistency:
     def test_small_n(self):
-        for n in range(3):
-            r = case3_check(surface_p2(), n)
-            assert r.passed
-            assert r.entries[0][2] == 2 * n + 1
+        r = case3_check(surface_p2(), 2)
+        assert r.passed
+        assert r.entries == tuple((n + 1, n, 2 * n + 1, 2 * n + 1) for n in range(3))
+        assert r.configs_evaluated == 3 + 12 + 39
 
     def test_failure_names_the_configuration(self, monkeypatch, capsys):
         # the package attribute nesthilb.integrate is the function
         integrate_module = sys.modules["nesthilb.integrate"]
-        real = integrate_module._tangent_character
+        real = integrate_module._local_tangent
 
-        def one_weight_short(S, cfg, mode):
-            tangent = real(S, cfg, mode)
-            if cfg.assignment[1][0].size == 2:  # outer partition of size 2 at point 1
-                tangent = tangent + GlobalCharacter({Weight(0, 0): 1})
+        def one_weight_short(Z1, Z2, mode):
+            tangent = real(Z1, Z2, mode)
+            if Z1.signed_rank() == 2:  # every local pair whose outer partition has size 2
+                tangent = tangent + LocalCharacter.one()
             return tangent
 
-        monkeypatch.setattr(integrate_module, "_tangent_character", one_weight_short)
+        monkeypatch.setattr(integrate_module, "_local_tangent", one_weight_short)
         with pytest.raises(InconsistentTangent) as err:
             case3_check(surface_p2(), 1)
         message = str(err.value)
-        assert "case3 on p2 at (2, 1)" in message
-        assert "[[]/[], [2]/[1], []/[]]" in message
+        assert "case3 on p2 at (2, 1): 6 of 12 configurations fail" in message
+        assert "[[2]/[1], []/[], []/[]]" in message
         assert "signed rank 4 (expected 3)" in message
         assert "zero-weight multiplicity 1" in message
         assert main(["--surface", "p2", "--check", "case3", "--nmax", "1"]) == 3
