@@ -76,9 +76,13 @@ def local_pairs(a: int, b: int, mode: str) -> list[tuple[Partition, Partition]]:
     return list(product(partitions_of(a), partitions_of(b)))
 
 
-def local_pair_chars(a: int, b: int, mode: str) -> list[tuple[LocalCharacter, LocalCharacter]]:
-    """Box characters (Z1, Z2) of every local pair (``local_pairs``)."""
-    return [(box_char(p1), box_char(p2)) for p1, p2 in local_pairs(a, b, mode)]
+def local_pair_chars(
+    a: int, b: int, mode: str
+) -> Iterator[tuple[tuple[Partition, Partition], LocalCharacter, LocalCharacter]]:
+    """Every local pair (``local_pairs``) with its box characters Z1, Z2,
+    one pair at a time."""
+    for pair in local_pairs(a, b, mode):
+        yield pair, box_char(pair[0]), box_char(pair[1])
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -33,7 +33,7 @@ from functools import partial, reduce
 from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import add, gt
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .charalg import (
     GlobalCharacter,
@@ -52,7 +52,6 @@ from .fixedchar import (  # enumerate_configs: never called, bound for the bench
     enumerate_configs,
     hilb_tangent_char,
     local_pair_chars,
-    local_pairs,
     nested_tangent_char,
 )
 from .sampling import Point, certified_value, make_rng, random_point
@@ -66,9 +65,10 @@ class Factor:
     """One multiplicative piece of an integrand.
 
     kind: "total" (whole Chern series), "top" (top Chern class only) or
-    "index" (single Chern class c_k).
+    "index" (single Chern class c_k, k >= 0).
     klass: which K-class the factor is built from.
-    slot: 1 or 2 for classes living on a single Hilbert factor.
+    slot: 1 or 2 for classes living on a single Hilbert factor (taut,
+    tangent).
     """
 
     kind: str
@@ -76,6 +76,16 @@ class Factor:
     bundle: EquivariantLineBundle | None = None
     k: int | None = None
     slot: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("total", "top", "index"):
+            raise ValueError(f"unknown factor kind {self.kind!r}")
+        if self.klass not in ("em", "em_rev", "taut", "tangent"):
+            raise ValueError(f"unknown factor class {self.klass!r}")
+        if self.klass in ("taut", "tangent") and self.slot not in (1, 2):
+            raise ValueError(f"a {self.klass} factor needs slot 1 or 2, got {self.slot!r}")
+        if self.kind == "index" and (type(self.k) is not int or self.k < 0):
+            raise ValueError(f"an index factor needs an int k >= 0, got {self.k!r}")
 
 
 def total_chern_em(bundle: EquivariantLineBundle | None = None) -> Factor:
@@ -108,13 +118,15 @@ def top_chern_taut(bundle: EquivariantLineBundle, slot: int = 1) -> Factor:
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """mode: "nested", "product" or "hilb" (single Hilbert scheme, slot 1)."""
+    """mode: "nested" (the nested scheme S^[n1,n2]) or "product" (S^[n1] x
+    S^[n2]).  The single Hilbert scheme S^[n] is product mode at n2 = 0,
+    where slot-2 factors see S^[0] (see ``integrate_hilb``)."""
 
     mode: str
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("nested", "product", "hilb"):
+        if self.mode not in ("nested", "product"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -126,7 +138,6 @@ class InvariantResult:
     values: dict[tuple[int, int], Rational]
     config_counts: dict[tuple[int, int], int]
     specializations: tuple[Point, ...]
-    mode: str
     n1: int
     n2: int
 
@@ -137,56 +148,6 @@ class InvariantResult:
     @property
     def config_count(self) -> int:
         return self.config_counts[(self.n1, self.n2)]
-
-
-def _vdim(mode: str, n1: int, n2: int) -> int:
-    if mode == "nested":
-        return n1 + n2
-    return 2 * (n1 + n2)  # product of smooth Hilbert schemes; hilb has n2 = 0
-
-
-def _factor_rank(f: Factor, n1: int, n2: int) -> int:
-    if f.klass in ("em", "em_rev"):
-        return n1 + n2
-    n = n1 if f.slot == 1 else n2
-    if f.klass == "taut":
-        return n
-    return 2 * n  # tangent
-
-
-class _Grading(NamedTuple):
-    """Which coefficient of the vertex product each table entry reads.
-
-    Total factors are graded by u; each top or index factor by its own
-    variable v_j, kept up to caps[j].  Entry (a, b) reads v^degrees u^k
-    with k = vdim(a, b) - sum(degrees); a negative degree or k reads 0.
-    """
-
-    reads: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # by entry, in order
-    n1: int
-    n2: int
-    ucut: int
-    caps: tuple[int, ...]
-
-
-def _grading(spec: IntegrandSpec, n1: int, n2: int) -> _Grading:
-    entries = (
-        (a, b)
-        for a in range(n1 + 1)
-        for b in range(n2 + 1)
-        if spec.mode != "nested" or b <= a
-    )
-    reads = {}
-    for a, b in entries:
-        degrees = tuple(
-            _factor_rank(f, a, b) if f.kind == "top" else f.k
-            for f in spec.factors
-            if f.kind != "total"
-        )
-        reads[(a, b)] = (degrees, _vdim(spec.mode, a, b) - sum(degrees))
-    caps = tuple(max(0, *ds) for ds in zip(*(d for d, _ in reads.values())))
-    ucut = max(0, *(k for _, k in reads.values()))
-    return _Grading(reads, n1, n2, ucut, caps)
 
 
 def _local_tangent(Z1: LocalCharacter, Z2: LocalCharacter, mode: str) -> LocalCharacter:
@@ -201,11 +162,63 @@ def _local_factor(Z1: LocalCharacter, Z2: LocalCharacter, f: Factor) -> LocalCha
     if f.klass == "em_rev":
         return em_char(Z2, Z1)
     Z = Z1 if f.slot == 1 else Z2
-    if f.klass == "tangent":
-        return hilb_tangent_char(Z)
-    if f.klass == "taut":
-        return Z
-    raise ValueError(f"unknown factor class {f.klass!r}")
+    return hilb_tangent_char(Z) if f.klass == "tangent" else Z  # taut
+
+
+# by local sizes (a, b): per local pair, the tangent and factor characters
+_LocalTerms = dict[tuple[int, int], list[tuple[LocalCharacter, list[LocalCharacter]]]]
+
+
+def _local_terms(spec: IntegrandSpec, n1: int, n2: int) -> _LocalTerms:
+    """The local terms of every local pair of sizes (a, b) <= (n1, n2),
+    b <= a in nested mode, built once per pair."""
+    keys = (
+        (a, b) for a in range(n1 + 1) for b in range(n2 + 1) if spec.mode == "product" or b <= a
+    )
+    return {
+        key: [
+            (_local_tangent(Z1, Z2, spec.mode), [_local_factor(Z1, Z2, f) for f in spec.factors])
+            for _, Z1, Z2 in local_pair_chars(*key, spec.mode)
+        ]
+        for key in keys
+    }
+
+
+class _Grading(NamedTuple):
+    """Which coefficient of the vertex product each table entry reads.
+
+    Total factors are graded by u; each top or index factor by its own
+    variable v_j, kept up to caps[j].  Entry (a, b) reads v^degrees u^k
+    with k = vdim(a, b) - sum(degrees); a negative k reads 0.
+    """
+
+    reads: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # by entry, in order
+    n1: int
+    n2: int
+    ucut: int
+    caps: tuple[int, ...]
+
+
+def _grading(spec: IntegrandSpec, local: _LocalTerms) -> _Grading:
+    """The reads of every entry of ``local``'s table.
+
+    vdim is the signed rank of the tangent and a top factor's degree the
+    signed rank of its character.  Every rank is linear in the sizes, so
+    a local pair of sizes (a, b) has the rank of entry (a, b): both are
+    read off the first local pair of each key.
+    """
+    reads = {}
+    for key, terms in local.items():
+        tangent, chars = terms[0]
+        degrees = tuple(
+            char.signed_rank() if f.kind == "top" else f.k
+            for char, f in zip(chars, spec.factors)
+            if f.kind != "total"
+        )
+        reads[key] = (degrees, tangent.signed_rank() - sum(degrees))
+    caps = tuple(max(0, *ds) for ds in zip(*(d for d, _ in reads.values())))
+    ucut = max(0, *(k for _, k in reads.values()))
+    return _Grading(reads, *max(local), ucut, caps)  # the largest key is (n1, n2)
 
 
 def _at_chart(
@@ -240,37 +253,20 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
     )
 
 
-# per local pair: the tangent character and the characters of the factors
-_VertexTerm = tuple[GlobalCharacter, tuple[GlobalCharacter, ...]]
-# one chart's vertex terms, by local sizes (a, b)
-_ChartTerms = dict[tuple[int, int], list[_VertexTerm]]
+# one chart's vertex terms: the local terms substituted at the chart
+_ChartTerms = dict[tuple[int, int], list[tuple[GlobalCharacter, tuple[GlobalCharacter, ...]]]]
 
 
 def _chart_terms(
-    S: ToricSurfaceDescriptor, spec: IntegrandSpec, keys: Iterable[tuple[int, int]]
+    S: ToricSurfaceDescriptor, spec: IntegrandSpec, local: _LocalTerms
 ) -> list[_ChartTerms]:
-    """The vertex terms of every chart, by local sizes (a, b).
-
-    Local characters are built once per local pair and substituted at
-    every chart.
-    """
-    pair_mode = "nested" if spec.mode == "nested" else "product"
-    local = {
-        key: [
-            (_local_tangent(Z1, Z2, spec.mode), [_local_factor(Z1, Z2, f) for f in spec.factors])
-            for Z1, Z2 in local_pair_chars(*key, pair_mode)
-        ]
-        for key in keys
-    }
+    """The local terms substituted at every chart, by local sizes (a, b)."""
     charts = []
     for i, chart in enumerate(S.charts):
         shifts = [_shift(f, i) for f in spec.factors]
         charts.append({
             key: [
-                (
-                    _at_chart(t, chart, None),
-                    tuple(_at_chart(c, chart, shift) for c, shift in zip(chars, shifts)),
-                )
+                (_at_chart(t, chart, None), tuple(map(_at_chart, chars, repeat(chart), shifts)))
                 for t, chars in terms
             ]
             for key, terms in local.items()
@@ -392,7 +388,7 @@ def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, 
     local: _Grid = {}
     witnesses: dict = {}
     for key in ((a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1)):
-        for pair, (Z1, Z2) in zip(local_pairs(*key, "nested"), local_pair_chars(*key, "nested")):
+        for pair, Z1, Z2 in local_pair_chars(*key, "nested"):
             t = _local_tangent(Z1, Z2, "nested")
             cls = (t.signed_rank(), t.terms.get((0, 0), 0))
             local.setdefault(key, {}).setdefault(cls, [0])[0] += 1
@@ -413,8 +409,9 @@ def integrate(
     all specialization evaluations."""
     if n1 < 0 or n2 < 0 or (spec.mode == "nested" and n1 < n2):
         raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode {spec.mode!r}")
-    grading = _grading(spec, n1, n2)
-    charts = _chart_terms(S, spec, grading.reads)
+    local = _local_terms(spec, n1, n2)
+    grading = _grading(spec, local)
+    charts = _chart_terms(S, spec, local)
     rng = make_rng(seed)
     values, points = certified_value(
         lambda x, y: _evaluate(charts, x, y, spec, grading),
@@ -426,7 +423,6 @@ def integrate(
         values=values,
         config_counts=_config_counts(charts, grading),
         specializations=points,
-        mode=spec.mode,
         n1=n1,
         n2=n2,
     )
@@ -435,7 +431,8 @@ def integrate(
 def integrate_hilb(
     S: ToricSurfaceDescriptor, n: int, spec: IntegrandSpec, seed: int = 0
 ) -> InvariantResult:
-    """Localization over the single Hilbert scheme of n points (slot 1)."""
-    if spec.mode != "hilb":
-        raise ValueError(f"integrate_hilb needs a 'hilb' spec, got mode {spec.mode!r}")
+    """Localization over the single Hilbert scheme S^[n] = S^[n] x S^[0]:
+    a product spec at (n, 0), so slot-1 factors live on S^[n]."""
+    if spec.mode != "product":
+        raise ValueError(f"integrate_hilb needs a 'product' spec, got mode {spec.mode!r}")
     return integrate(S, n, 0, spec, seed=seed)

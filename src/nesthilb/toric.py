@@ -65,9 +65,9 @@ class EquivariantLineBundle:
 class ToricSurfaceDescriptor:
     name: str
     charts: tuple[FixedPointChart, ...]
-    # fan data; None for file-based descriptors
+    # fan data, counterclockwise; chart i is the cone of rays i, i+1.
+    # None for file-based descriptors
     rays: tuple[tuple[int, int], ...] | None = None
-    cone_rays: tuple[tuple[int, int], ...] | None = None  # ray indices per chart
     named_bundles: tuple[tuple[str, tuple[Weight, ...]], ...] = ()
 
     def __post_init__(self):
@@ -115,21 +115,12 @@ def _solve_pairing(v1: tuple[int, int], v2: tuple[int, int], c1: int, c2: int) -
 
 def _from_fan(name: str, rays: list[tuple[int, int]]) -> ToricSurfaceDescriptor:
     """Surface from a complete smooth fan with rays in counterclockwise order."""
-    n = len(rays)
-    charts = []
-    cone_rays = []
-    for i in range(n):
-        vi, vj = rays[i], rays[(i + 1) % n]
-        w1 = _solve_pairing(vi, vj, 1, 0)
-        w2 = _solve_pairing(vi, vj, 0, 1)
-        charts.append(FixedPointChart(w1, w2))
-        cone_rays.append((i, (i + 1) % n))
-    return ToricSurfaceDescriptor(
-        name=name,
-        charts=tuple(charts),
-        rays=tuple(rays),
-        cone_rays=tuple(cone_rays),
+    cones = zip(rays, rays[1:] + rays[:1])
+    charts = tuple(
+        FixedPointChart(_solve_pairing(vi, vj, 1, 0), _solve_pairing(vi, vj, 0, 1))
+        for vi, vj in cones
     )
+    return ToricSurfaceDescriptor(name=name, charts=charts, rays=tuple(rays))
 
 
 def surface_p2() -> ToricSurfaceDescriptor:
@@ -151,7 +142,7 @@ def surface_hirzebruch(a: int) -> ToricSurfaceDescriptor:
 
 def line_bundle(S: ToricSurfaceDescriptor, divisor_coeffs: list[int]) -> EquivariantLineBundle:
     """Equivariant O(D) for D = sum a_i D_i over the fan rays of S."""
-    if S.rays is None or S.cone_rays is None:
+    if S.rays is None:
         raise WrongCoefficientCount(
             f"surface {S.name!r} has no fan data; use a named bundle"
         )
@@ -159,9 +150,10 @@ def line_bundle(S: ToricSurfaceDescriptor, divisor_coeffs: list[int]) -> Equivar
         raise WrongCoefficientCount(
             f"expected {len(S.rays)} coefficients, got {len(divisor_coeffs)}"
         )
-    weights = tuple(
-        _solve_pairing(S.rays[i], S.rays[j], divisor_coeffs[i], divisor_coeffs[j])
-        for i, j in S.cone_rays
+    rays, a = S.rays, list(divisor_coeffs)
+    weights = tuple(  # at chart i, the cone of rays i, i+1
+        _solve_pairing(vi, vj, ai, aj)
+        for vi, vj, ai, aj in zip(rays, rays[1:] + rays[:1], a, a[1:] + a[:1])
     )
     label = "O(" + ",".join(str(c) for c in divisor_coeffs) + ")"
     return EquivariantLineBundle(label, weights)

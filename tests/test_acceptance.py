@@ -83,8 +83,8 @@ class TestAcceptance:
         ok = True
         for S, bundles in _surfaces_and_bundles():
             for M in bundles[:2]:
-                for n in range(4):
-                    ok = ok and case2_check(S, M, n).passed
+                report = case2_check(S, M, 3)
+                ok = ok and report.passed and len(report.entries) == 4
         _report("3 (inner-empty reduction)", ok)
 
     def test_4_property_suite(self):
@@ -113,7 +113,7 @@ class TestAcceptance:
         for S in (surface_p2(), surface_p1xp1()):
             M = canonical_bundle(S)
             for n1, n2 in [(1, 0), (1, 1), (2, 1)]:
-                for j in (1, 2):
+                for j in range(1, min(2, n1 + n2) + 1):  # c_k with k < 0 is rejected
                     spec = IntegrandSpec(
                         "product",
                         (chern_index_em(n1 + n2 + j, M), chern_index_em(n1 + n2 - j)),
@@ -122,7 +122,7 @@ class TestAcceptance:
         _report("4 (property suite)", ok)
 
     def test_5_calibration(self):
-        spec = IntegrandSpec("hilb", (total_chern_tangent(),))
+        spec = IntegrandSpec("product", (total_chern_tangent(),))
         ok = integrate_hilb(surface_p2(), 1, spec).value == 3
         ok = ok and integrate_hilb(surface_p1xp1(), 1, spec).value == 4
         K2 = canonical_bundle(surface_p2())

@@ -4,7 +4,10 @@ import pytest
 
 from nesthilb.errors import NonConstantSum
 from nesthilb.integrate import (
+    Factor,
     IntegrandSpec,
+    _grading,
+    _local_terms,
     chern_index_em,
     integrate,
     integrate_hilb,
@@ -26,7 +29,7 @@ class TestBaseCases:
             assert integrate(surface_p2(), 0, 0, spec).value == 1
 
     def test_hilb_zero(self):
-        spec = IntegrandSpec("hilb", (total_chern_tangent(),))
+        spec = IntegrandSpec("product", (total_chern_tangent(),))
         assert integrate_hilb(surface_p2(), 0, spec).value == 1
 
 
@@ -35,20 +38,51 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="nested"):
             integrate_hilb(surface_p2(), 1, NESTED_EO)
 
+    def test_hilb_mode_is_gone(self):
+        # the single Hilbert scheme is product mode at n2 = 0
+        with pytest.raises(ValueError, match="unknown mode 'hilb'"):
+            IntegrandSpec("hilb")
+
+    @pytest.mark.parametrize(
+        "kind,klass,k,slot,match",
+        [
+            ("bottom", "em", None, None, "kind"),
+            ("total", "chern", None, None, "class"),
+            ("total", "tangent", None, None, "slot"),  # no slot: misread as slot 2
+            ("total", "tangent", None, 3, "slot"),
+            ("top", "taut", None, 0, "slot"),
+            ("index", "em", None, None, "k"),
+            ("index", "em", -1, None, "k"),
+            ("index", "em", 1.0, None, "k"),
+            ("index", "em", True, None, "k"),
+        ],
+    )
+    def test_factor_rejects_what_it_would_misread(self, kind, klass, k, slot, match):
+        with pytest.raises(ValueError, match=match):
+            Factor(kind, klass, k=k, slot=slot)
+
+    def test_factor_accepts_the_constructors(self):
+        K = canonical_bundle(surface_p2())
+        for slot in (1, 2):
+            Factor("total", "tangent", slot=slot)
+            Factor("top", "taut", K, slot=slot)
+        Factor("index", "em", k=0)
+        Factor("total", "em_rev")
+
 
 class TestEulerNumberCalibration:
     def test_plane(self):
-        spec = IntegrandSpec("hilb", (total_chern_tangent(),))
+        spec = IntegrandSpec("product", (total_chern_tangent(),))
         assert integrate_hilb(surface_p2(), 1, spec).value == 3
 
     def test_quadric(self):
-        spec = IntegrandSpec("hilb", (total_chern_tangent(),))
+        spec = IntegrandSpec("product", (total_chern_tangent(),))
         assert integrate_hilb(surface_p1xp1(), 1, spec).value == 4
 
     def test_twisted_tangent_untwisted_agrees(self):
         S = surface_p2()
         O = S.bundle("O")
-        spec = IntegrandSpec("hilb", (total_chern_twisted_tangent(O, slot=1),))
+        spec = IntegrandSpec("product", (total_chern_twisted_tangent(O, slot=1),))
         assert integrate_hilb(S, 1, spec).value == 3
 
 
@@ -93,12 +127,31 @@ class TestVanishingAboveTopDegree:
     def test_both_surfaces(self, n1, n2):
         for S in (surface_p2(), surface_p1xp1()):
             M = canonical_bundle(S)
-            for j in (1, 2):
+            for j in range(1, min(2, n1 + n2) + 1):  # c_k with k < 0 is rejected
                 spec = IntegrandSpec(
                     "product",
                     (chern_index_em(n1 + n2 + j, M), chern_index_em(n1 + n2 - j)),
                 )
                 assert integrate(S, n1, n2, spec).value == 0
+
+
+class TestDegreesFromLocalTerms:
+    # the dimension formulas that the grading reads off the local ranks
+    def test_nested(self):
+        spec = IntegrandSpec("nested", (top_chern_em(), total_chern_em()))
+        reads = _grading(spec, _local_terms(spec, 3, 2)).reads
+        assert list(reads) == [(a, b) for a in range(4) for b in range(min(a, 2) + 1)]
+        assert all(r == ((a + b,), 0) for (a, b), r in reads.items())  # vdim n1 + n2
+
+    def test_product(self):
+        K = canonical_bundle(surface_p2())
+        factors = (top_chern_em(), Factor("top", "taut", K, slot=2), Factor("top", "tangent", slot=1))
+        spec = IntegrandSpec("product", factors)
+        reads = _grading(spec, _local_terms(spec, 2, 3)).reads
+        assert list(reads) == [(a, b) for a in range(3) for b in range(4)]
+        for (a, b), (degrees, k) in reads.items():
+            assert degrees == (a + b, b, 2 * a)
+            assert k == 2 * (a + b) - sum(degrees)  # vdim 2(n1 + n2)
 
 
 class TestTopChernFactor:

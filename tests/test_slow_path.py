@@ -29,6 +29,7 @@ from nesthilb.integrate import (
     _chart_terms,
     _factor_character,
     _grading,
+    _local_terms,
     _read,
     _tangent_character,
     chern_index_em,
@@ -153,11 +154,13 @@ def _entry_cases():
             "nested-index": IntegrandSpec("nested", (total_chern_em(), chern_index_em(1, M))),
             "product-total-top": IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
             "product-index": IntegrandSpec("product", (total_chern_em(), chern_index_em(2, M))),
-            "hilb-tangent": IntegrandSpec("hilb", (total_chern_tangent(),)),
-            "hilb-taut-top": IntegrandSpec("hilb", (total_chern_em(M), top_chern_taut(K, slot=1))),
+            # the single Hilbert scheme: product mode at n2 = 0
+            "hilb-tangent": IntegrandSpec("product", (total_chern_tangent(),)),
+            "hilb-taut-top": IntegrandSpec("product", (total_chern_em(M), top_chern_taut(K))),
         }
         for label, spec in specs.items():
-            keys = [(1, 0), (2, 0)] if spec.mode == "hilb" else [(1, 0), (1, 1), (2, 1), (2, 2)]
+            hilb = label.startswith("hilb")
+            keys = [(1, 0), (2, 0)] if hilb else [(1, 0), (1, 1), (2, 1), (2, 2)]
             for n1, n2 in keys:
                 out.append(pytest.param(S, n1, n2, spec, id=f"{S.name}-{label}-{n1}{n2}"))
     return out
@@ -176,7 +179,7 @@ README_DESCRIPTOR = (
 
 
 def _table_cases():
-    """One call at (2, 2), or (2, 0) in hilb mode, read at every entry."""
+    """One call at (2, 2), or (2, 0) for the single Hilbert scheme, read at every entry."""
     out = []
     for S, M in (
         (surface_p2(), line_bundle(surface_p2(), [0, 0, 1])),
@@ -195,17 +198,17 @@ def _table_cases():
             "product-tangent-taut": IntegrandSpec(
                 "product", (total_chern_twisted_tangent(M, slot=2), top_chern_taut(K, slot=2))
             ),
-            "hilb-tangent": IntegrandSpec("hilb", (total_chern_tangent(),)),
-            "hilb-taut-top": IntegrandSpec("hilb", (total_chern_em(M), top_chern_taut(K, slot=1))),
+            "hilb-tangent": IntegrandSpec("product", (total_chern_tangent(),)),
+            "hilb-taut-top": IntegrandSpec("product", (total_chern_em(M), top_chern_taut(K))),
         }
         for label, spec in specs.items():
-            out.append(pytest.param(S, spec, id=f"{S.name}-{label}"))
+            n2 = 0 if label.startswith("hilb") else 2
+            out.append(pytest.param(S, n2, spec, id=f"{S.name}-{label}"))
     return out
 
 
-@pytest.mark.parametrize("S,spec", _table_cases())
-def test_every_entry_of_one_call_matches_rational_slow_path(S, spec):
-    n2 = 0 if spec.mode == "hilb" else 2
+@pytest.mark.parametrize("S,n2,spec", _table_cases())
+def test_every_entry_of_one_call_matches_rational_slow_path(S, n2, spec):
     res = integrate(S, 2, n2, spec)
     keys = [(a, b) for a in range(3) for b in range(n2 + 1) if spec.mode != "nested" or b <= a]
     assert sorted(res.values) == sorted(res.config_counts) == keys
@@ -222,8 +225,9 @@ def test_rational_point_and_scaled_integer_point_give_the_same_summand(mode):
     M = line_bundle(S, [0, 0, 1, 0])
     factors = (total_chern_em(M),) if mode == "nested" else (total_chern_em(M), top_chern_em())
     spec = IntegrandSpec(mode, factors)
-    grading = _grading(spec, 2, 1)
-    chart = _chart_terms(S, spec, grading.reads)[1]
+    local = _local_terms(spec, 2, 1)
+    grading = _grading(spec, local)
+    chart = _chart_terms(S, spec, local)[1]
     assert sum(map(len, chart.values())) > len(grading.reads)
     for key, terms in chart.items():
         for term in terms:

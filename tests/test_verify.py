@@ -5,7 +5,7 @@ import pytest
 
 import nesthilb.verify
 from nesthilb.charalg import LocalCharacter
-from nesthilb.cli import main
+from nesthilb.cli import main, run_checks
 from nesthilb.errors import InconsistentTangent, NestHilbError
 from nesthilb.toric import (
     canonical_bundle,
@@ -144,24 +144,49 @@ class TestNestedVsProduct:
 
 
 class TestHilbertSchemeReduction:
+    # one call reports every n <= nmax; configs_evaluated sums the entries
+
     def test_n0_both_sides_one(self):
         r = case2_check(surface_p2(), surface_p2().bundle("O"), 0)
-        assert r.entries[0][2] == 1 and r.entries[0][3] == 1
+        assert r.entries == ((0, 0, 1, 1),)
+        assert r.configs_evaluated == 2
 
     def test_plane_n1(self):
         r = case2_check(surface_p2(), surface_p2().bundle("O"), 1)
         assert r.passed
-        assert r.entries[0][2] == 9
+        assert [(n1, n2, lhs) for n1, n2, lhs, _ in r.entries] == [(0, 0, 1), (1, 0, 9)]
+        assert r.configs_evaluated == 2 + 6
 
     def test_quadric_n1(self):
         r = case2_check(surface_p1xp1(), surface_p1xp1().bundle("O"), 1)
         assert r.passed
-        assert r.entries[0][2] == 8
+        assert [(n1, n2, lhs) for n1, n2, lhs, _ in r.entries] == [(0, 0, 1), (1, 0, 8)]
 
     def test_twisted(self):
+        # the values of the per-entry sweep, one integrate call per n and side
         S = surface_p1xp1()
         r = case2_check(S, line_bundle(S, [0, 0, 1, 1]), 2)
         assert r.passed
+        assert r.entries == ((0, 0, 1, 1), (1, 0, 12, 12), (2, 0, 66, 66))
+        assert r.configs_evaluated == 2 + 8 + 28
+
+    def test_cli_sweep_is_two_integrate_calls(self, monkeypatch):
+        # verify's own binding serves the nested side; integrate_hilb looks
+        # up the integrate module's
+        calls = []
+        integrate_module = sys.modules["nesthilb.integrate"]
+        real = integrate_module.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nesthilb.verify, "integrate", counted)
+        monkeypatch.setattr(integrate_module, "integrate", counted)
+        S = surface_p2()
+        (report,) = run_checks(S, S.bundle("O"), "case2", 3, seed=0)
+        assert calls == [(3, 0), (3, 0)]
+        assert [e[:2] for e in report.entries] == [(n, 0) for n in range(4)]
 
 
 class TestDimensionConsistency:
