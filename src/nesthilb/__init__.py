@@ -2,8 +2,7 @@
 on toric surfaces."""
 
 from .charalg import (
-    GlobalCharacter,
-    LocalCharacter,
+    Character,
     Rational,
     USeries,
     Weight,

@@ -1,11 +1,17 @@
 """Exact character algebra.
 
-Laurent polynomials in the two local torus variables t1, t2 with integer
-multiplicities, signed weight multisets in the global character lattice,
-and truncated series in an auxiliary variable u used to extract graded
-Chern classes.  Everything is exact: specialization is at integer points;
-exact because every summand is homogeneous of degree 0 in (s1, s2).  Only
-the Euler class is a ``fractions.Fraction``.  No floats.
+One character ring serves both tori.  A ``Character`` is a Laurent
+polynomial with integer multiplicities in two torus variables, keyed by
+exponent pairs (a, b).  At a chart the local variables t1, t2 are the
+chart's characters w1, w2 of the global torus, so ``substitute_chart`` is
+the ring map t1 -> s^w1, t2 -> s^w2 and its image is a ``Character`` of
+the same type, read as the signed multiset of global weights a*s1 + b*s2.
+A character therefore evaluates at (x, y) in whichever torus it lives in:
+a local one at the projected point (w1(x, y), w2(x, y)) gives what its
+substitution gives at (x, y).  Truncated series in an auxiliary variable u
+extract graded Chern classes.  Everything is exact: specialization is at
+integer points; exact because every summand is homogeneous of degree 0 in
+(s1, s2).  Only the Euler class is a ``fractions.Fraction``.  No floats.
 """
 
 from __future__ import annotations
@@ -35,47 +41,38 @@ class Weight(NamedTuple):
     def __sub__(self, other):
         return Weight(self.a - other.a, self.b - other.b)
 
-    def scale(self, k: int) -> "Weight":
-        return Weight(k * self.a, k * self.b)
-
     def value(self, x: int, y: int) -> int:
         return self.a * x + self.b * y
 
 
-ZERO_WEIGHT = Weight(0, 0)
+class Character:
+    """Sparse Laurent polynomial in two torus variables with integer
+    coefficients: a K-theory class of the 2-torus, local or global.
 
-
-def _pruned(terms: Mapping) -> dict:
-    return {k: v for k, v in terms.items() if v != 0}
-
-
-class LocalCharacter:
-    """Sparse Laurent polynomial in t1, t2 with integer coefficients.
-
-    Keys of ``terms`` are exponent pairs (a, b); values are nonzero
-    integers.  Instances are immutable in use; all operations return new
-    characters in canonical (zero-pruned) form.
+    Keys of ``terms`` are exponent pairs (a, b), the weight a*s1 + b*s2;
+    values are nonzero multiplicities.  Instances are immutable in use;
+    all operations return new characters in canonical (zero-pruned) form.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self.terms = _pruned(terms or {})
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @staticmethod
-    def monomial(a: int, b: int, coeff: int = 1) -> "LocalCharacter":
-        return LocalCharacter({(a, b): coeff})
+    def monomial(a: int, b: int, coeff: int = 1) -> "Character":
+        return Character({(a, b): coeff})
 
     @staticmethod
-    def zero() -> "LocalCharacter":
-        return LocalCharacter()
+    def zero() -> "Character":
+        return Character()
 
     @staticmethod
-    def one() -> "LocalCharacter":
-        return LocalCharacter({(0, 0): 1})
+    def one() -> "Character":
+        return Character({(0, 0): 1})
 
     def __eq__(self, other):
-        return isinstance(other, LocalCharacter) and self.terms == other.terms
+        return isinstance(other, Character) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -83,81 +80,53 @@ class LocalCharacter:
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other: "LocalCharacter") -> "LocalCharacter":
+    def __add__(self, other: "Character") -> "Character":
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return LocalCharacter(out)
+        return Character(out)
 
-    def __neg__(self) -> "LocalCharacter":
-        return LocalCharacter({k: -v for k, v in self.terms.items()})
+    def __neg__(self) -> "Character":
+        return Character({k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other: "LocalCharacter") -> "LocalCharacter":
+    def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
-    def __mul__(self, other: "LocalCharacter") -> "LocalCharacter":
+    def __mul__(self, other: "Character") -> "Character":
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), v1 in self.terms.items():
             for (a2, b2), v2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + v1 * v2
-        return LocalCharacter(out)
+        return Character(out)
 
-    def bar(self) -> "LocalCharacter":
+    def bar(self) -> "Character":
         """Invert both torus variables: (a, b) -> (-a, -b)."""
-        return LocalCharacter({(-a, -b): v for (a, b), v in self.terms.items()})
+        return Character({(-a, -b): v for (a, b), v in self.terms.items()})
 
     def signed_rank(self) -> int:
         """Value at t1 = t2 = 1."""
         return sum(self.terms.values())
 
+    def zero_multiplicity(self) -> int:
+        """Multiplicity of the trivial character (0, 0)."""
+        return self.terms.get((0, 0), 0)
+
     def __repr__(self):
         if not self.terms:
-            return "LocalCharacter(0)"
+            return "Character(0)"
         bits = [f"{v}*t1^{a}*t2^{b}" for (a, b), v in sorted(self.terms.items())]
-        return "LocalCharacter(" + " + ".join(bits) + ")"
+        return "Character(" + " + ".join(bits) + ")"
 
 
-class GlobalCharacter:
-    """Signed multiset of global weights: a K-theory class at a fixed point."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Weight, int] | None = None):
-        self.terms = _pruned(terms or {})
-
-    def __eq__(self, other):
-        return isinstance(other, GlobalCharacter) and self.terms == other.terms
-
-    def __add__(self, other: "GlobalCharacter") -> "GlobalCharacter":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return GlobalCharacter(out)
-
-    def translate(self, w: Weight) -> "GlobalCharacter":
-        """Tensor by the line with character w: shift every weight by w."""
-        return GlobalCharacter({k + w: v for k, v in self.terms.items()})
-
-    def signed_rank(self) -> int:
-        return sum(self.terms.values())
-
-    def zero_multiplicity(self) -> int:
-        return self.terms.get(ZERO_WEIGHT, 0)
-
-    def __repr__(self):
-        return f"GlobalCharacter({dict(sorted(self.terms.items()))})"
-
-
-def substitute_chart(p: LocalCharacter, w1: Weight, w2: Weight) -> GlobalCharacter:
-    """Send the local exponent pair (a, b) to the global weight a*w1 + b*w2."""
-    if w1.a * w2.b - w1.b * w2.a == 0:
+def substitute_chart(p: Character, w1: Weight, w2: Weight) -> Character:
+    """The ring map t1 -> s^w1, t2 -> s^w2 of a chart with independent
+    weights w1, w2: the exponent pair (a, b) goes to a*w1 + b*w2.  The map
+    is injective, so no two terms merge."""
+    (a1, b1), (a2, b2) = w1, w2
+    if a1 * b2 - b1 * a2 == 0:
         raise DependentChartWeights(f"parallel chart weights {w1}, {w2}")
-    out: dict[Weight, int] = {}
-    for (a, b), v in p.terms.items():
-        w = w1.scale(a) + w2.scale(b)
-        out[w] = out.get(w, 0) + v
-    return GlobalCharacter(out)
+    return Character({(a * a1 + b * a2, a * b1 + b * b2): v for (a, b), v in p.terms.items()})
 
 
 def _require_int_point(x, y) -> None:
@@ -167,7 +136,7 @@ def _require_int_point(x, y) -> None:
         raise TypeError(f"specialization point must be a pair of ints, got ({x!r}, {y!r})")
 
 
-def euler_value(c: GlobalCharacter, x: int, y: int) -> Rational:
+def euler_value(c: Character, x: int, y: int) -> Rational:
     """Equivariant Euler class of c at the integer point s1 = x, s2 = y.
 
     Product of weight values with multiplicities as exponents; negative
@@ -177,10 +146,10 @@ def euler_value(c: GlobalCharacter, x: int, y: int) -> Rational:
     if c.zero_multiplicity() != 0:
         raise ZeroWeightInTangent("zero weight with nonzero multiplicity")
     num = den = 1
-    for w, m in c.terms.items():
-        v = w.value(x, y)
+    for (a, b), m in c.terms.items():
+        v = a * x + b * y
         if v == 0:
-            raise SpecializationPole(f"weight {w} vanishes at ({x}, {y})")
+            raise SpecializationPole(f"weight ({a}, {b}) vanishes at ({x}, {y})")
         if m > 0:
             num *= v**m
         else:
@@ -237,7 +206,7 @@ class USeries:
         return f"USeries({self.coeffs})"
 
 
-def chern_useries(c: GlobalCharacter, x: int, y: int, cutoff: int) -> USeries:
+def chern_useries(c: Character, x: int, y: int, cutoff: int) -> USeries:
     """Total equivariant Chern class of c at the integer point (x, y), graded by u.
 
     Returns the truncated product over weights w of (1 + u*w(x,y))^mult;
@@ -250,8 +219,8 @@ def chern_useries(c: GlobalCharacter, x: int, y: int, cutoff: int) -> USeries:
     _require_int_point(x, y)
     # q[k] = (-1)^(k-1) p_k: the signs of Newton's identities folded in
     q = [0] * (cutoff + 1)
-    for w, m in c.terms.items():
-        v = -w.value(x, y)
+    for (a, b), m in c.terms.items():
+        v = -a * x - b * y
         power = -m
         for k in range(1, cutoff + 1):
             power *= v

@@ -77,8 +77,8 @@ def parse_bundle(S: ToricSurfaceDescriptor, selector: str) -> tuple[EquivariantL
             raise UsageError(str(exc)) from exc
     try:
         return S.bundle(selector), []
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        raise UsageError(exc.args[0]) from exc
 
 
 def run_checks(

@@ -14,19 +14,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .charalg import LocalCharacter
+from .charalg import Character
 from .errors import InvalidNesting
 from .partitions import Partition, box_char, nested_pairs, partitions_of
 from .toric import ToricSurfaceDescriptor
 
 # (1 - t1)(1 - t2) / (t1 t2), the two-variable Koszul factor
-_KOSZUL = LocalCharacter(
-    {(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1}
-)
-_INV_T1T2 = LocalCharacter.monomial(-1, -1)
+_KOSZUL = Character({(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1})
+_INV_T1T2 = Character.monomial(-1, -1)
 
 
-def nested_tangent_char(Z1: LocalCharacter, Z2: LocalCharacter) -> LocalCharacter:
+def nested_tangent_char(Z1: Character, Z2: Character) -> Character:
     """Virtual tangent character of the nested scheme at one chart."""
     return (
         Z1
@@ -35,16 +33,16 @@ def nested_tangent_char(Z1: LocalCharacter, Z2: LocalCharacter) -> LocalCharacte
     )
 
 
-def hilb_tangent_char(Z: LocalCharacter) -> LocalCharacter:
+def hilb_tangent_char(Z: Character) -> Character:
     """Tangent character of the (smooth) Hilbert scheme of points at one chart."""
     return Z + Z.bar() * _INV_T1T2 - Z.bar() * Z * _KOSZUL
 
 
-def em_char(Z1: LocalCharacter, Z2: LocalCharacter) -> LocalCharacter:
+def em_char(Z1: Character, Z2: Character) -> Character:
     """Local character of the virtual extension class of rank n1 + n2.
 
-    The twisting line bundle enters as a weight translation applied by
-    the caller after chart substitution.
+    The twisting line bundle enters as a monomial the caller multiplies
+    in after chart substitution.
     """
     return Z2 + Z1.bar() * _INV_T1T2 - Z1.bar() * Z2 * _KOSZUL
 
@@ -61,10 +59,10 @@ class FixedConfig:
     n1: int
     n2: int
 
-    def outer_chars(self) -> list[LocalCharacter]:
+    def outer_chars(self) -> list[Character]:
         return [box_char(p1) for p1, _ in self.assignment]
 
-    def inner_chars(self) -> list[LocalCharacter]:
+    def inner_chars(self) -> list[Character]:
         return [box_char(p2) for _, p2 in self.assignment]
 
 
@@ -78,7 +76,7 @@ def local_pairs(a: int, b: int, mode: str) -> list[tuple[Partition, Partition]]:
 
 def local_pair_chars(
     a: int, b: int, mode: str
-) -> Iterator[tuple[tuple[Partition, Partition], LocalCharacter, LocalCharacter]]:
+) -> Iterator[tuple[tuple[Partition, Partition], Character, Character]]:
     """Every local pair (``local_pairs``) with its box characters Z1, Z2,
     one pair at a time."""
     for pair in local_pairs(a, b, mode):

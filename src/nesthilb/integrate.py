@@ -36,11 +36,9 @@ from operator import add, gt
 from typing import Callable, NamedTuple
 
 from .charalg import (
-    GlobalCharacter,
-    LocalCharacter,
+    Character,
     Rational,
     USeries,
-    Weight,
     chern_useries,
     euler_value,
     substitute_chart,
@@ -86,6 +84,10 @@ class Factor:
             raise ValueError(f"a {self.klass} factor needs slot 1 or 2, got {self.slot!r}")
         if self.kind == "index" and (type(self.k) is not int or self.k < 0):
             raise ValueError(f"an index factor needs an int k >= 0, got {self.k!r}")
+        if self.kind != "index" and self.k is not None:
+            raise ValueError(f"a {self.kind} factor takes no k, got {self.k!r}")
+        if self.klass in ("em", "em_rev") and self.slot is not None:
+            raise ValueError(f"an {self.klass} factor takes no slot, got {self.slot!r}")
 
 
 def total_chern_em(bundle: EquivariantLineBundle | None = None) -> Factor:
@@ -150,13 +152,13 @@ class InvariantResult:
         return self.config_counts[(self.n1, self.n2)]
 
 
-def _local_tangent(Z1: LocalCharacter, Z2: LocalCharacter, mode: str) -> LocalCharacter:
+def _local_tangent(Z1: Character, Z2: Character, mode: str) -> Character:
     if mode == "nested":
         return nested_tangent_char(Z1, Z2)
     return hilb_tangent_char(Z1) + hilb_tangent_char(Z2)
 
 
-def _local_factor(Z1: LocalCharacter, Z2: LocalCharacter, f: Factor) -> LocalCharacter:
+def _local_factor(Z1: Character, Z2: Character, f: Factor) -> Character:
     if f.klass == "em":
         return em_char(Z1, Z2)
     if f.klass == "em_rev":
@@ -165,11 +167,12 @@ def _local_factor(Z1: LocalCharacter, Z2: LocalCharacter, f: Factor) -> LocalCha
     return hilb_tangent_char(Z) if f.klass == "tangent" else Z  # taut
 
 
-# by local sizes (a, b): per local pair, the tangent and factor characters
-_LocalTerms = dict[tuple[int, int], list[tuple[LocalCharacter, list[LocalCharacter]]]]
+# by local sizes (a, b): per local pair, the tangent and factor characters,
+# local ones or substituted at one chart
+_Terms = dict[tuple[int, int], list[tuple[Character, tuple[Character, ...]]]]
 
 
-def _local_terms(spec: IntegrandSpec, n1: int, n2: int) -> _LocalTerms:
+def _local_terms(spec: IntegrandSpec, n1: int, n2: int) -> _Terms:
     """The local terms of every local pair of sizes (a, b) <= (n1, n2),
     b <= a in nested mode, built once per pair."""
     keys = (
@@ -177,7 +180,7 @@ def _local_terms(spec: IntegrandSpec, n1: int, n2: int) -> _LocalTerms:
     )
     return {
         key: [
-            (_local_tangent(Z1, Z2, spec.mode), [_local_factor(Z1, Z2, f) for f in spec.factors])
+            (_local_tangent(Z1, Z2, spec.mode), tuple(_local_factor(Z1, Z2, f) for f in spec.factors))
             for _, Z1, Z2 in local_pair_chars(*key, spec.mode)
         ]
         for key in keys
@@ -199,7 +202,7 @@ class _Grading(NamedTuple):
     caps: tuple[int, ...]
 
 
-def _grading(spec: IntegrandSpec, local: _LocalTerms) -> _Grading:
+def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
     """The reads of every entry of ``local``'s table.
 
     vdim is the signed rank of the tangent and a top factor's degree the
@@ -221,52 +224,44 @@ def _grading(spec: IntegrandSpec, local: _LocalTerms) -> _Grading:
     return _Grading(reads, *max(local), ucut, caps)  # the largest key is (n1, n2)
 
 
-def _at_chart(
-    char: LocalCharacter, chart: FixedPointChart, shift: Weight | None
-) -> GlobalCharacter:
+def _at_chart(char: Character, chart: FixedPointChart, twist: Character | None) -> Character:
     g = substitute_chart(char, chart.w1, chart.w2)
-    return g if shift is None else g.translate(shift)
+    return g if twist is None else g * twist
 
 
-def _shift(f: Factor, i: int) -> Weight | None:
+def _twist(f: Factor, i: int) -> Character | None:
     """Substituted characters live in the convention dual to the stored
     bundle weights (the tangent of the surface comes out as -w1, -w2), so
-    a twist by M shifts factor f at chart i by the dual of M's weight."""
-    return None if f.bundle is None else -f.bundle.weights[i]
+    a twist by M multiplies factor f at chart i by the dual of M's weight."""
+    return None if f.bundle is None else Character.monomial(*-f.bundle.weights[i])
 
 
 # The brute-force oracle of the tests, never called here: the characters of
 # one global configuration, summed over the charts from the same local terms.
-def _tangent_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, mode: str) -> GlobalCharacter:
+def _tangent_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, mode: str) -> Character:
     pairs = zip(S.charts, cfg.outer_chars(), cfg.inner_chars())
     return sum(
         (_at_chart(_local_tangent(Z1, Z2, mode), chart, None) for chart, Z1, Z2 in pairs),
-        GlobalCharacter(),
+        Character(),
     )
 
 
-def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) -> GlobalCharacter:
+def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) -> Character:
     pairs = enumerate(zip(S.charts, cfg.outer_chars(), cfg.inner_chars()))
     return sum(
-        (_at_chart(_local_factor(Z1, Z2, f), chart, _shift(f, i)) for i, (chart, Z1, Z2) in pairs),
-        GlobalCharacter(),
+        (_at_chart(_local_factor(Z1, Z2, f), chart, _twist(f, i)) for i, (chart, Z1, Z2) in pairs),
+        Character(),
     )
 
 
-# one chart's vertex terms: the local terms substituted at the chart
-_ChartTerms = dict[tuple[int, int], list[tuple[GlobalCharacter, tuple[GlobalCharacter, ...]]]]
-
-
-def _chart_terms(
-    S: ToricSurfaceDescriptor, spec: IntegrandSpec, local: _LocalTerms
-) -> list[_ChartTerms]:
+def _chart_terms(S: ToricSurfaceDescriptor, spec: IntegrandSpec, local: _Terms) -> list[_Terms]:
     """The local terms substituted at every chart, by local sizes (a, b)."""
     charts = []
     for i, chart in enumerate(S.charts):
-        shifts = [_shift(f, i) for f in spec.factors]
+        twists = [_twist(f, i) for f in spec.factors]
         charts.append({
             key: [
-                (_at_chart(t, chart, None), tuple(map(_at_chart, chars, repeat(chart), shifts)))
+                (_at_chart(t, chart, None), tuple(map(_at_chart, chars, repeat(chart), twists)))
                 for t, chars in terms
             ]
             for key, terms in local.items()
@@ -280,7 +275,7 @@ _Grid = dict[tuple[int, int], dict[tuple[int, ...], list[int]]]
 
 
 def _chart_grid(
-    terms: _ChartTerms,
+    terms: _Terms,
     x: int,
     y: int,
     spec: IntegrandSpec,
@@ -335,7 +330,7 @@ def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int, caps: tuple[int, ...
 
 
 def _evaluate(
-    charts: list[_ChartTerms], x: int, y: int, spec: IntegrandSpec, grading: _Grading
+    charts: list[_Terms], x: int, y: int, spec: IntegrandSpec, grading: _Grading
 ) -> dict[tuple[int, int], Rational]:
     """Every entry of the vertex product Z = prod_p Z_p at (x, y)."""
     dens, grids = zip(*(_chart_grid(terms, x, y, spec, grading) for terms in charts))
@@ -351,7 +346,7 @@ def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
     return series[k] if series and k >= 0 else 0
 
 
-def _config_counts(charts: list[_ChartTerms], grading: _Grading) -> dict[tuple[int, int], int]:
+def _config_counts(charts: list[_Terms], grading: _Grading) -> dict[tuple[int, int], int]:
     """Configurations per entry: the vertex product with unit weights."""
     units = ({key: {(): [len(ts)]} for key, ts in terms.items()} for terms in charts)
     product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0, caps=()), units)
@@ -390,7 +385,7 @@ def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, 
     for key in ((a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1)):
         for pair, Z1, Z2 in local_pair_chars(*key, "nested"):
             t = _local_tangent(Z1, Z2, "nested")
-            cls = (t.signed_rank(), t.terms.get((0, 0), 0))
+            cls = (t.signed_rank(), t.zero_multiplicity())
             local.setdefault(key, {}).setdefault(cls, [0])[0] += 1
             witnesses.setdefault(key, {}).setdefault(cls, pair)
     # _times drops classes above caps; each sums one local class per chart

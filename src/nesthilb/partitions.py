@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charalg import LocalCharacter
+from .charalg import Character
 from .errors import InvalidNesting
 
 
@@ -86,6 +86,6 @@ def nested_pairs(n1: int, n2: int) -> list[NestedPair]:
     ]
 
 
-def box_char(mu: Partition) -> LocalCharacter:
+def box_char(mu: Partition) -> Character:
     """Sum of t1^i t2^j over the boxes of mu."""
-    return LocalCharacter({box: 1 for box in mu.boxes()})
+    return Character({box: 1 for box in mu.boxes()})

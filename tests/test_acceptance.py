@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from nesthilb.charalg import LocalCharacter
+from nesthilb.charalg import Character
 from nesthilb.cli import main as cli_main
 from nesthilb.fixedchar import (
     em_char,

@@ -65,6 +65,10 @@ class TestExitCodes:
     def test_bad_workers(self, capsys):
         assert run_cli(["--workers", "0"]) == 2
 
+    def test_unknown_bundle_label_is_usage_error(self, capsys):
+        assert run_cli(["--surface", "p2", "--bundle", "Q"]) == 2
+        assert capsys.readouterr().err == "error: no bundle named 'Q' on surface 'p2'\n"
+
     def test_degenerate_descriptor_is_usage_error(self, tmp_path, capsys):
         descriptor = {
             "name": "flat",

@@ -1,6 +1,6 @@
 import pytest
 
-from nesthilb.charalg import LocalCharacter
+from nesthilb.charalg import Character
 from nesthilb.errors import InvalidNesting
 from nesthilb.fixedchar import (
     em_char,
@@ -12,12 +12,12 @@ from nesthilb.integrate import _tangent_character
 from nesthilb.partitions import EMPTY, Partition, box_char, nested_pairs, partitions_of
 from nesthilb.toric import surface_p1xp1, surface_p2
 
-ZERO = LocalCharacter.zero()
-ONE = LocalCharacter.one()
+ZERO = Character.zero()
+ONE = Character.one()
 
 
 def lc(terms):
-    return LocalCharacter(terms)
+    return Character(terms)
 
 
 class TestNestedTangentChar:
@@ -96,7 +96,7 @@ class TestEmChar:
     def test_role_swap_is_serre_dual(self):
         # exchanging the two ideals conjugates the class and twists by
         # the chart canonical monomial
-        inv = LocalCharacter.monomial(-1, -1)
+        inv = Character.monomial(-1, -1)
         for mu1 in partitions_of(3):
             for mu2 in partitions_of(2):
                 Z1, Z2 = box_char(mu1), box_char(mu2)

@@ -55,6 +55,9 @@ class TestSpecValidation:
             ("index", "em", -1, None, "k"),
             ("index", "em", 1.0, None, "k"),
             ("index", "em", True, None, "k"),
+            ("top", "em", 7, 2, "takes no k"),  # would integrate as top_chern_em()
+            ("total", "em", 3, None, "takes no k"),
+            ("total", "em_rev", None, 1, "takes no slot"),
         ],
     )
     def test_factor_rejects_what_it_would_misread(self, kind, klass, k, slot, match):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import nesthilb.verify
-from nesthilb.charalg import LocalCharacter
+from nesthilb.charalg import Character
 from nesthilb.cli import main, run_checks
 from nesthilb.errors import InconsistentTangent, NestHilbError
 from nesthilb.toric import (
@@ -204,7 +204,7 @@ class TestDimensionConsistency:
         def one_weight_short(Z1, Z2, mode):
             tangent = real(Z1, Z2, mode)
             if Z1.signed_rank() == 2:  # every local pair whose outer partition has size 2
-                tangent = tangent + LocalCharacter.one()
+                tangent = tangent + Character.one()
             return tangent
 
         monkeypatch.setattr(integrate_module, "_local_tangent", one_weight_short)
