@@ -8,10 +8,12 @@ the ring map t1 -> s^w1, t2 -> s^w2 and its image is a ``Character`` of
 the same type, read as the signed multiset of global weights a*s1 + b*s2.
 A character therefore evaluates at (x, y) in whichever torus it lives in:
 a local one at the projected point (w1(x, y), w2(x, y)) gives what its
-substitution gives at (x, y).  Truncated series in an auxiliary variable u
-extract graded Chern classes.  Everything is exact: specialization is at
-integer points; exact because every summand is homogeneous of degree 0 in
-(s1, s2).  Only the Euler class is a ``fractions.Fraction``.  No floats.
+substitution gives at (x, y), and a twist by a line bundle enters a Chern
+series as the integer value of its weight there.  Truncated series in an
+auxiliary variable u extract graded Chern classes.  Everything is exact:
+specialization is at integer points; exact because every summand is
+homogeneous of degree 0 in (s1, s2).  Only the Euler class is a
+``fractions.Fraction``.  No floats.
 """
 
 from __future__ import annotations
@@ -206,21 +208,22 @@ class USeries:
         return f"USeries({self.coeffs})"
 
 
-def chern_useries(c: Character, x: int, y: int, cutoff: int) -> USeries:
-    """Total equivariant Chern class of c at the integer point (x, y), graded by u.
+def chern_useries(c: Character, x: int, y: int, cutoff: int, twist: int = 0) -> USeries:
+    """Total equivariant Chern class of c ⊗ L at the integer point (x, y),
+    graded by u, where ``twist`` is the value of L's weight at (x, y).
 
-    Returns the truncated product over weights w of (1 + u*w(x,y))^mult;
-    the u^k coefficient is the k-th Chern class of c at the
-    specialization.  Negative multiplicities expand as power series.  The
-    coefficients e_k come from the power sums p_k = sum mult * w(x,y)^k by
-    Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i; every
-    e_k is an integer, so the division by k is exact.
+    Returns the truncated product over weights w of (1 + u*w')^mult with
+    w' = w(x,y) + twist; the u^k coefficient is the k-th Chern class of
+    c ⊗ L at the specialization.  Negative multiplicities expand as power
+    series.  The coefficients e_k come from the power sums p_k = sum mult *
+    w'^k by Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i;
+    every e_k is an integer, so the division by k is exact.
     """
     _require_int_point(x, y)
     # q[k] = (-1)^(k-1) p_k: the signs of Newton's identities folded in
     q = [0] * (cutoff + 1)
     for (a, b), m in c.terms.items():
-        v = -a * x - b * y
+        v = -a * x - b * y - twist
         power = -m
         for k in range(1, cutoff + 1):
             power *= v

@@ -41,8 +41,8 @@ def hilb_tangent_char(Z: Character) -> Character:
 def em_char(Z1: Character, Z2: Character) -> Character:
     """Local character of the virtual extension class of rank n1 + n2.
 
-    The twisting line bundle enters as a monomial the caller multiplies
-    in after chart substitution.
+    A twisting line bundle enters its Chern series as the integer value
+    of the bundle's weight (``chern_useries``'s ``twist``).
     """
     return Z2 + Z1.bar() * _INV_T1T2 - Z1.bar() * Z2 * _KOSZUL
 

@@ -16,12 +16,15 @@ graded by u; each "top" or "index" factor by a variable of its own, so
 that its kept degree is selected globally.  Nothing here sums over
 configurations: the configuration sum (``enumerate_configs``,
 ``_tangent_character``, ``_factor_character``) is the tests' brute-force
-oracle, kept in the package only because the benchmark trace
-(``perfbench/tracing.py`` ``SITES``) binds those names.
+oracle and the only user of ``substitute_chart``.  It stays in the
+package because the benchmark trace (``perfbench/tracing.py`` ``SITES``)
+binds ``enumerate_configs``, ``_tangent_character`` and ``substitute_chart``.
 
 Z is evaluated exactly at several seeded random integer points, which
 must agree.  That is exact because every summand is homogeneous of
-degree 0 in (s1, s2).  Each chart's factor is integral over one common
+degree 0 in (s1, s2).  Z_p sees its chart only through the chart weights,
+so it is evaluated from the local terms at the projected point
+(w1(x, y), w2(x, y)).  Each chart's factor is integral over one common
 denominator, so each entry costs one Fraction.
 """
 
@@ -35,14 +38,8 @@ from math import lcm, prod
 from operator import add, gt
 from typing import Callable, NamedTuple
 
-from .charalg import (
-    Character,
-    Rational,
-    USeries,
-    chern_useries,
-    euler_value,
-    substitute_chart,
-)
+from .charalg import Character, Rational, USeries, Weight, chern_useries, euler_value
+from .charalg import substitute_chart  # the oracle's only, and bound for the benchmark trace
 from .errors import InvalidNesting
 from .fixedchar import (  # enumerate_configs: never called, bound for the benchmark trace
     FixedConfig,
@@ -167,8 +164,7 @@ def _local_factor(Z1: Character, Z2: Character, f: Factor) -> Character:
     return hilb_tangent_char(Z) if f.klass == "tangent" else Z  # taut
 
 
-# by local sizes (a, b): per local pair, the tangent and factor characters,
-# local ones or substituted at one chart
+# by local sizes (a, b): per local pair, the local tangent and factor characters
 _Terms = dict[tuple[int, int], list[tuple[Character, tuple[Character, ...]]]]
 
 
@@ -224,16 +220,16 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
     return _Grading(reads, *max(local), ucut, caps)  # the largest key is (n1, n2)
 
 
-def _at_chart(char: Character, chart: FixedPointChart, twist: Character | None) -> Character:
-    g = substitute_chart(char, chart.w1, chart.w2)
-    return g if twist is None else g * twist
+def _at_chart(char: Character, chart: FixedPointChart, twist: Weight) -> Character:
+    """The oracle's copy of a local term at ``chart``, twisted by ``twist``."""
+    return substitute_chart(char, chart.w1, chart.w2) * Character.monomial(*twist)
 
 
-def _twist(f: Factor, i: int) -> Character | None:
+def _twist(f: Factor, i: int) -> Weight:
     """Substituted characters live in the convention dual to the stored
     bundle weights (the tangent of the surface comes out as -w1, -w2), so
-    a twist by M multiplies factor f at chart i by the dual of M's weight."""
-    return None if f.bundle is None else Character.monomial(*-f.bundle.weights[i])
+    a twist by M shifts factor f at chart i by the dual of M's weight."""
+    return Weight(0, 0) if f.bundle is None else -f.bundle.weights[i]
 
 
 # The brute-force oracle of the tests, never called here: the characters of
@@ -241,7 +237,7 @@ def _twist(f: Factor, i: int) -> Character | None:
 def _tangent_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, mode: str) -> Character:
     pairs = zip(S.charts, cfg.outer_chars(), cfg.inner_chars())
     return sum(
-        (_at_chart(_local_tangent(Z1, Z2, mode), chart, None) for chart, Z1, Z2 in pairs),
+        (_at_chart(_local_tangent(Z1, Z2, mode), chart, Weight(0, 0)) for chart, Z1, Z2 in pairs),
         Character(),
     )
 
@@ -254,51 +250,41 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
     )
 
 
-def _chart_terms(S: ToricSurfaceDescriptor, spec: IntegrandSpec, local: _Terms) -> list[_Terms]:
-    """The local terms substituted at every chart, by local sizes (a, b)."""
-    charts = []
-    for i, chart in enumerate(S.charts):
-        twists = [_twist(f, i) for f in spec.factors]
-        charts.append({
-            key: [
-                (_at_chart(t, chart, None), tuple(map(_at_chart, chars, repeat(chart), twists)))
-                for t, chars in terms
-            ]
-            for key, terms in local.items()
-        })
-    return charts
-
-
 # a grid maps local or global sizes (a, b) to a series in (v_1.., u):
 # {v exponents: [u^0 .. u^ucut coefficients]}
 _Grid = dict[tuple[int, int], dict[tuple[int, ...], list[int]]]
 
 
 def _chart_grid(
-    terms: _Terms,
+    local: _Terms,
+    S: ToricSurfaceDescriptor,
+    i: int,
     x: int,
     y: int,
     spec: IntegrandSpec,
     grading: _Grading,
 ) -> tuple[int, _Grid]:
-    """One chart's factor Z_p at (x, y) as an integer grid and its
-    denominator: each vertex term is its factor Chern series divided by
-    its tangent Euler value, all over one common denominator."""
+    """Chart i's factor Z_p at (x, y) as an integer grid and its
+    denominator: each local term at the projected point (X, Y) is its
+    factor Chern series divided by its tangent Euler value, all over one
+    common denominator."""
     ucut = grading.ucut
-    eulers = {key: [euler_value(t, x, y) for t, _ in ts] for key, ts in terms.items()}
+    X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
+    twists = [_twist(f, i).value(x, y) for f in spec.factors]
+    eulers = {key: [euler_value(t, X, Y) for t, _ in ts] for key, ts in local.items()}
     den = lcm(*(e.numerator for es in eulers.values() for e in es))
     grid: _Grid = {}
-    for key, ts in terms.items():
+    for key, ts in local.items():
         series: dict[tuple[int, ...], list[int]] = {}
         for (_, chars), e in zip(ts, eulers[key]):
             u = USeries.one(ucut)
             parts = [((), den // e.numerator * e.denominator)]
             caps = iter(grading.caps)
-            for char, f in zip(chars, spec.factors):
+            for char, f, twist in zip(chars, spec.factors, twists):
                 if f.kind == "total":
-                    u = u * chern_useries(char, x, y, ucut)
+                    u = u * chern_useries(char, X, Y, ucut, twist)
                 else:
-                    cs = chern_useries(char, x, y, next(caps)).coeffs
+                    cs = chern_useries(char, X, Y, next(caps), twist).coeffs
                     parts = [(d + (j,), c * cj) for d, c in parts for j, cj in enumerate(cs) if cj]
             for d, c in parts:
                 acc = series.setdefault(d, [0] * (ucut + 1))
@@ -330,10 +316,11 @@ def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int, caps: tuple[int, ...
 
 
 def _evaluate(
-    charts: list[_Terms], x: int, y: int, spec: IntegrandSpec, grading: _Grading
+    local: _Terms, S: ToricSurfaceDescriptor, x: int, y: int, spec: IntegrandSpec, grading: _Grading
 ) -> dict[tuple[int, int], Rational]:
     """Every entry of the vertex product Z = prod_p Z_p at (x, y)."""
-    dens, grids = zip(*(_chart_grid(terms, x, y, spec, grading) for terms in charts))
+    charts = range(len(S.charts))
+    dens, grids = zip(*(_chart_grid(local, S, i, x, y, spec, grading) for i in charts))
     times = partial(_times, n1=grading.n1, n2=grading.n2, ucut=grading.ucut, caps=grading.caps)
     product = reduce(times, grids)
     return {key: Fraction(_read(product, key, grading), prod(dens)) for key in grading.reads}
@@ -346,9 +333,9 @@ def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
     return series[k] if series and k >= 0 else 0
 
 
-def _config_counts(charts: list[_Terms], grading: _Grading) -> dict[tuple[int, int], int]:
+def _config_counts(local: _Terms, nfixed: int, grading: _Grading) -> dict[tuple[int, int], int]:
     """Configurations per entry: the vertex product with unit weights."""
-    units = ({key: {(): [len(ts)]} for key, ts in terms.items()} for terms in charts)
+    units = repeat({key: {(): [len(ts)]} for key, ts in local.items()}, nfixed)
     product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0, caps=()), units)
     return {key: product[key][()][0] for key in grading.reads}
 
@@ -404,19 +391,19 @@ def integrate(
     all specialization evaluations."""
     if n1 < 0 or n2 < 0 or (spec.mode == "nested" and n1 < n2):
         raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode {spec.mode!r}")
+    S.check_bundles(*(f.bundle for f in spec.factors))
     local = _local_terms(spec, n1, n2)
     grading = _grading(spec, local)
-    charts = _chart_terms(S, spec, local)
     rng = make_rng(seed)
     values, points = certified_value(
-        lambda x, y: _evaluate(charts, x, y, spec, grading),
+        lambda x, y: _evaluate(local, S, x, y, spec, grading),
         lambda: random_point(rng),
         _NPOINTS,
         f"{S.name} ({n1}, {n2}, {spec.mode})",
     )
     return InvariantResult(
         values=values,
-        config_counts=_config_counts(charts, grading),
+        config_counts=_config_counts(local, len(S.charts), grading),
         specializations=points,
         n1=n1,
         n2=n2,

@@ -100,6 +100,12 @@ class ToricSurfaceDescriptor:
                 return EquivariantLineBundle(label, weights)
         raise KeyError(f"no bundle named {label!r} on surface {self.name!r}")
 
+    def check_bundles(self, *bundles: EquivariantLineBundle | None) -> None:
+        for L in filter(None, bundles):
+            if len(L.weights) != len(self.charts):
+                raise ValueError(f"bundle {L.label!r} has {len(L.weights)} weights, but "
+                                 f"surface {self.name!r} has {len(self.charts)} fixed points")
+
 
 def _solve_pairing(v1: tuple[int, int], v2: tuple[int, int], c1: int, c2: int) -> Weight:
     """Integer solution w of <w, v1> = c1, <w, v2> = c2 (unimodular cone)."""
@@ -181,6 +187,7 @@ def intersect(
     Evaluated at several random integer specializations (each term is
     homogeneous of degree 0); all evaluations must agree exactly.
     """
+    S.check_bundles(L, Lp)
 
     def evaluate(x: int, y: int) -> Rational:
         total = Fraction(0)
@@ -255,6 +262,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
         bundles = pt.get("bundles", {})
         if not isinstance(bundles, dict):
             raise ValueError(f"{where}.bundles must be an object")
+        if reserved := sorted({"O", "K"} & bundles.keys()):  # ``bundle`` returns the built-ins
+            raise ValueError(f"{where}.bundles: label {reserved[0]!r} is reserved for a built-in")
         if labels is None:
             labels = sorted(bundles)
             per_label = {lab: [] for lab in labels}

@@ -28,10 +28,15 @@ def local_chars():
     ).map(Character)
 
 
+def weights():
+    return st.builds(Weight, st.integers(-3, 3), st.integers(-3, 3))
+
+
 def chart_weights():
     """Two linearly independent chart weights."""
-    weight = st.builds(Weight, st.integers(-3, 3), st.integers(-3, 3))
-    return st.tuples(weight, weight).filter(lambda ws: ws[0].a * ws[1].b != ws[0].b * ws[1].a)
+    return st.tuples(weights(), weights()).filter(
+        lambda ws: ws[0].a * ws[1].b != ws[0].b * ws[1].a
+    )
 
 
 class TestLocalCharacter:
@@ -120,14 +125,17 @@ class TestSubstituteChart:
         lhs = substitute_chart(p * q, *ws)
         assert lhs == substitute_chart(p, *ws) * substitute_chart(q, *ws)
 
-    @given(local_chars(), chart_weights(), st.integers(-50, 50), st.integers(-50, 50),
-           st.integers(0, 6))
+    @given(local_chars(), chart_weights(), weights(), st.integers(-50, 50),
+           st.integers(-50, 50), st.integers(0, 6))
     @settings(max_examples=100)
-    def test_chern_at_projected_point(self, p, ws, x, y, k):
-        # a local character at (w1(x, y), w2(x, y)) is its substitution at (x, y)
+    def test_chern_at_projected_point(self, p, ws, m, x, y, k):
+        # a local character at (w1(x, y), w2(x, y)) is its substitution at
+        # (x, y), and a twist by the monomial of m is the integer m(x, y)
         w1, w2 = ws
-        lhs = chern_useries(p, w1.value(x, y), w2.value(x, y), k)
-        assert lhs == chern_useries(substitute_chart(p, w1, w2), x, y, k)
+        X, Y = w1.value(x, y), w2.value(x, y)
+        assert chern_useries(p, X, Y, k) == chern_useries(substitute_chart(p, w1, w2), x, y, k)
+        twisted = substitute_chart(p, w1, w2) * Character.monomial(*m)
+        assert chern_useries(p, X, Y, k, m.value(x, y)) == chern_useries(twisted, x, y, k)
 
     @given(local_chars().filter(lambda p: not p.zero_multiplicity()), chart_weights(),
            st.integers(-50, 50), st.integers(-50, 50))

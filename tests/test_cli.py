@@ -156,6 +156,25 @@ class TestCustomSurfaceRun:
                         "--check", "theorem7", "--nmax", "1"])
         assert code == 0
 
+    def test_scaled_plane_matches_custom_plane(self, tmp_path):
+        # scaled-plane is custom-plane with the torus reparametrized by
+        # s -> 2s and L's linearization shifted by [1, 0]; its chart weights
+        # are no lattice basis, so a twist is half a local exponent there.
+        # Neither change may move an invariant.
+        root = Path(__file__).resolve().parents[1]
+        checks = {}
+        for path in (root / "perfbench" / "data" / "custom-plane.json",
+                     root / "tests" / "data" / "scaled-plane.json"):
+            out = tmp_path / f"{path.stem}.json"
+            assert run_cli(["--surface", f"file:{path}", "--bundle", "L", "--check", "all",
+                            "--nmax", "3", "--output", "json", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            checks[path.stem] = [(c["name"], c["entries"]) for c in report["checks"]]
+        assert [name for name, _ in checks["custom-plane"]] == [
+            "theorem7", "theorem5", "case2", "case3", "zprod"
+        ]
+        assert checks["scaled-plane"] == checks["custom-plane"]
+
 
 class TestFanoDecision:
     def test_theorem5_asserted_only_on_fano_fans(self, tmp_path):

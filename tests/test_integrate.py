@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from nesthilb.integrate import (
     integrate,
     integrate_hilb,
     top_chern_em,
+    top_chern_taut,
     total_chern_em,
     total_chern_em_rev,
     total_chern_tangent,
@@ -180,6 +183,50 @@ class TestRoleExchange:
             IntegrandSpec("product", (total_chern_em_rev(), total_chern_em_rev())),
         ).value
         assert a == b
+
+
+class TestBundleFromAnotherSurface:
+    # unchecked, a p2 bundle on p1xp1 runs out of weights (IndexError) and
+    # a p1xp1 bundle on p2 gives a non-constant sum
+    @pytest.mark.parametrize(
+        "S,M,message",
+        [
+            (surface_p1xp1(), line_bundle(surface_p2(), [0, 0, 1]), "'O(0,0,1)' has 3 weights"),
+            (surface_p2(), line_bundle(surface_p1xp1(), [0, 0, 1, 0]), "'O(0,0,1,0)' has 4 weights"),
+        ],
+        ids=["p2-bundle-on-p1xp1", "p1xp1-bundle-on-p2"],
+    )
+    def test_rejected_with_both_counts(self, S, M, message):
+        spec = IntegrandSpec("nested", (total_chern_em(M),))
+        match = re.escape(f"bundle {message}, but surface '{S.name}' has {len(S.charts)} fixed")
+        with pytest.raises(ValueError, match=match):
+            integrate(S, 1, 0, spec)
+
+
+class TestNoSubstitution:
+    # Z_p is evaluated at each chart's projected point; only the oracle
+    # substitutes local terms at a chart
+    @pytest.mark.parametrize(
+        "n1,n2,spec",
+        [
+            (2, 1, IntegrandSpec("nested", (total_chern_em(),))),
+            (2, 1, IntegrandSpec("product", (
+                total_chern_em(line_bundle(surface_p1xp1(), [0, 0, 1, 0])),
+                top_chern_taut(canonical_bundle(surface_p1xp1())),
+            ))),
+        ],
+        ids=["nested", "product-twisted"],
+    )
+    def test_integrate_never_substitutes(self, n1, n2, spec, monkeypatch):
+        S = surface_p1xp1()
+        expected = integrate(S, n1, n2, spec)
+
+        def refuse(*args):
+            raise RuntimeError("integrate substituted a local term")
+
+        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "substitute_chart", refuse)
+        res = integrate(S, n1, n2, spec)
+        assert (res.values, res.config_counts) == (expected.values, expected.config_counts)
 
 
 class TestNonConstantDetection:

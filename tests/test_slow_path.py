@@ -20,18 +20,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nesthilb.charalg import Character, chern_useries
+from nesthilb.charalg import Character, Weight, chern_useries
 from nesthilb.errors import InconsistentTangent
 from nesthilb.fixedchar import FixedConfig, enumerate_configs
 from nesthilb.integrate import (
     IntegrandSpec,
+    _at_chart,
     _chart_grid,
-    _chart_terms,
     _factor_character,
     _grading,
     _local_terms,
     _read,
     _tangent_character,
+    _twist,
     chern_index_em,
     integrate,
     tangent_classes,
@@ -227,15 +228,19 @@ def test_rational_point_and_scaled_integer_point_give_the_same_summand(mode):
     spec = IntegrandSpec(mode, factors)
     local = _local_terms(spec, 2, 1)
     grading = _grading(spec, local)
-    chart = _chart_terms(S, spec, local)[1]
-    assert sum(map(len, chart.values())) > len(grading.reads)
-    for key, terms in chart.items():
+    i, chart = 1, S.charts[1]
+    assert any(_twist(f, i) != Weight(0, 0) for f in spec.factors)
+    assert sum(map(len, local.values())) > len(grading.reads)
+    for key, terms in local.items():
         for term in terms:
-            tangent, chars = term
+            # the slow side substitutes the local term at the chart; the
+            # engine evaluates it at the chart's projected point
+            tangent = _at_chart(term[0], chart, Weight(0, 0))
+            chars = [_at_chart(c, chart, _twist(f, i)) for c, f in zip(term[1], spec.factors)]
             fs = reference_degrees(chars, spec)
             slow = reference_summand(tangent, fs, x, y)
             assert slow == reference_summand(tangent, fs, Fraction(X), Fraction(Y))
-            den, grid = _chart_grid({key: [term]}, X, Y, spec, grading)
+            den, grid = _chart_grid({key: [term]}, S, i, X, Y, spec, grading)
             assert Fraction(_read(grid, key, grading), den) == slow
 
 

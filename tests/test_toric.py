@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,20 @@ class TestIntersect:
         H = grid[0]
         assert intersect(S, c, H) == intersect(S, a, H) + intersect(S, b, H)
 
+    @pytest.mark.parametrize(
+        "S,M",
+        [
+            (surface_p1xp1(), line_bundle(surface_p2(), [0, 0, 1])),
+            (surface_p2(), line_bundle(surface_p1xp1(), [0, 0, 1, 0])),
+        ],
+        ids=["p2-bundle-on-p1xp1", "p1xp1-bundle-on-p2"],
+    )
+    def test_bundle_from_another_surface_rejected(self, S, M):
+        n, m = len(M.weights), len(S.charts)
+        match = rf"bundle '{re.escape(M.label)}' has {n} weights, but surface '{S.name}' has {m}"
+        with pytest.raises(ValueError, match=match):
+            intersect(S, M, trivial_bundle(S))
+
     def test_constancy_across_seeds(self):
         S = surface_p2()
         K = canonical_bundle(S)
@@ -217,6 +232,21 @@ class TestJsonDescriptor:
         bad["fixed_points"][2]["w2"] = [2, -1]
         with pytest.raises(ValueError, match=r"fixed_points\[1\]: chart weight \[-1, 1\]"):
             surface_from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("label", ["O", "K"])
+    def test_reserved_bundle_label_rejected(self, label, tmp_path, capsys):
+        # S.bundle returns the built-in trivial and canonical bundles before
+        # the descriptor's own, which would be silently ignored
+        doc = json.loads(json.dumps(DESCRIPTOR))
+        for pt in doc["fixed_points"]:
+            pt["bundles"][label] = pt["bundles"].pop("L")
+        message = rf"fixed_points\[0\]\.bundles: label '{label}' is reserved"
+        with pytest.raises(ValueError, match=message):
+            surface_from_json(json.dumps(doc))
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--surface", f"file:{path}", "--bundle", label, "--check", "theorem7"]) == 2
+        assert f"label '{label}' is reserved" in capsys.readouterr().err
 
     def test_unknown_bundle_label(self):
         S = surface_from_json(json.dumps(DESCRIPTOR))
