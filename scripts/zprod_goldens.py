@@ -19,8 +19,8 @@ def run(nmax):
         for label in ("O", "K"):
             table = zprod_table(S, S.bundle(label), nmax)
             print(f"({S.name!r}, {label!r}): {{")
-            for key in table.keys():
-                print(f"    {key}: {table.entries[key]},")
+            for key, value in table.values.items():
+                print(f"    {key}: {value},")
             print("},")
 
 

@@ -34,7 +34,6 @@ from .toric import (
 )
 from .verify import (
     CheckReport,
-    CoeffTable,
     case2_check,
     case3_check,
     theorem5_check,

@@ -114,8 +114,9 @@ def run_checks(
             report = case3_check(S, nmax)
         else:
             table = zprod_table(S, M, nmax, seed=seed)
-            entries = tuple((*key, table.entries[key], table.entries[key]) for key in table.keys())
-            report = CheckReport("zprod", entries, configs_evaluated=table.configs)
+            entries = tuple((*key, value, value) for key, value in table.values.items())
+            configs = sum(table.config_counts.values())
+            report = CheckReport("zprod", entries, configs_evaluated=configs)
         report.millis = int((time.monotonic() - t0) * 1000)
         reports.append(report)
     return reports

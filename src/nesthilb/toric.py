@@ -48,18 +48,6 @@ class EquivariantLineBundle:
     label: str
     weights: tuple[Weight, ...]
 
-    def __add__(self, other: "EquivariantLineBundle") -> "EquivariantLineBundle":
-        return EquivariantLineBundle(
-            f"({self.label})+({other.label})",
-            tuple(a + b for a, b in zip(self.weights, other.weights)),
-        )
-
-    def __sub__(self, other: "EquivariantLineBundle") -> "EquivariantLineBundle":
-        return EquivariantLineBundle(
-            f"({self.label})-({other.label})",
-            tuple(a - b for a, b in zip(self.weights, other.weights)),
-        )
-
 
 @dataclass(frozen=True)
 class ToricSurfaceDescriptor:
@@ -156,7 +144,8 @@ def line_bundle(S: ToricSurfaceDescriptor, divisor_coeffs: list[int]) -> Equivar
         raise WrongCoefficientCount(
             f"expected {len(S.rays)} coefficients, got {len(divisor_coeffs)}"
         )
-    rays, a = S.rays, list(divisor_coeffs)
+    rays = S.rays
+    a = [_require_int(c, f"divisor coefficient {i}") for i, c in enumerate(divisor_coeffs)]
     weights = tuple(  # at chart i, the cone of rays i, i+1
         _solve_pairing(vi, vj, ai, aj)
         for vi, vj, ai, aj in zip(rays, rays[1:] + rays[:1], a, a[1:] + a[:1])

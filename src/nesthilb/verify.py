@@ -11,13 +11,14 @@ tangent class from local terms, with 2n + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .charalg import Rational, _binomial
 from .errors import InconsistentTangent, NestHilbError
 from .integrate import (
     IntegrandSpec,
+    InvariantResult,
     integrate,
     integrate_hilb,
     tangent_classes,
@@ -31,17 +32,6 @@ from .toric import (
     canonical_bundle,
     intersect,
 )
-
-
-@dataclass
-class CoeffTable:
-    """Exact coefficients of a two-variable series, indexed by (n1, n2)."""
-
-    entries: dict[tuple[int, int], Rational] = field(default_factory=dict)
-    configs: int = 0
-
-    def keys(self):
-        return sorted(self.entries)
 
 
 @dataclass
@@ -64,30 +54,17 @@ def _table_keys(nmax: int):
     return [(n1, n2) for n1 in range(nmax + 1) for n2 in range(n1 + 1)]
 
 
-def _localization_table(
-    S: ToricSurfaceDescriptor, nmax: int, spec: IntegrandSpec, seed: int
-) -> CoeffTable:
-    """Integrate spec at every (n1, n2) with n2 <= n1 <= nmax, in one call."""
-    table = CoeffTable()
-    res = integrate(S, nmax, nmax, spec, seed=seed)
-    for key in _table_keys(nmax):
-        table.entries[key] = res.values[key]
-        table.configs += res.config_counts[key]
-    return table
-
-
 def theorem7_lhs(
     S: ToricSurfaceDescriptor,
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-) -> CoeffTable:
+) -> InvariantResult:
     """Signed nested-scheme integrals of the total Chern class of the
-    extension class twisted by M."""
-    spec = IntegrandSpec("nested", (total_chern_em(M),))
-    table = _localization_table(S, nmax, spec, seed)
-    table.entries = {(n1, n2): (-1) ** (n1 + n2) * v for (n1, n2), v in table.entries.items()}
-    return table
+    extension class twisted by M, every n2 <= n1 <= nmax in one call."""
+    res = integrate(S, nmax, nmax, IntegrandSpec("nested", (total_chern_em(M),)), seed=seed)
+    signed = {(n1, n2): (-1) ** (n1 + n2) * v for (n1, n2), v in res.values.items()}
+    return replace(res, values=signed)
 
 
 def theorem7_rhs(
@@ -95,15 +72,17 @@ def theorem7_rhs(
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-) -> CoeffTable:
+) -> dict[tuple[int, int], Rational]:
     """Closed-form product expansion.
 
-    prod_{n>0} (1 - q2^(n-1) q1^n)^A (1 - (q1 q2)^n)^(B - e), with
-    A = <K, K-M> and B = <K-M, M>, expanded exactly to q1-degree nmax.
+    prod_{n>0} (1 - q2^(n-1) q1^n)^A (1 - (q1 q2)^n)^B, with
+    A = <K, K-M> = K^2 - K.M and B = <K-M, M> - e = K.M - M^2 - e,
+    expanded exactly to q1-degree nmax.
     """
     K = canonical_bundle(S)
-    A = intersect(S, K, K - M, seed=seed)
-    B = intersect(S, K - M, M, seed=seed) - S.euler_number
+    KK, KM, MM = (intersect(S, L, Lp, seed=seed) for L, Lp in ((K, K), (K, M), (M, M)))
+    A = KK - KM
+    B = KM - MM - S.euler_number
     if A.denominator != 1 or B.denominator != 1:
         raise NestHilbError(f"non-integral A={A}, B={B} on {S.name} bundle {M.label}")
     A, B = A.numerator, B.numerator
@@ -124,10 +103,7 @@ def theorem7_rhs(
                         out[d] = out.get(d, 0) + c1 * c2
             series = {k_: v for k_, v in out.items() if v != 0}
 
-    table = CoeffTable()
-    for key in _table_keys(nmax):
-        table.entries[key] = Fraction(series.get(key, 0))
-    return table
+    return {key: Fraction(series.get(key, 0)) for key in _table_keys(nmax)}
 
 
 def theorem7_check(
@@ -138,11 +114,8 @@ def theorem7_check(
 ) -> CheckReport:
     lhs = theorem7_lhs(S, M, nmax, seed=seed)
     rhs = theorem7_rhs(S, M, nmax, seed=seed)
-    entries = tuple(
-        (n1, n2, lhs.entries[(n1, n2)], rhs.entries[(n1, n2)])
-        for n1, n2 in _table_keys(nmax)
-    )
-    return CheckReport("theorem7", entries, configs_evaluated=lhs.configs)
+    entries = tuple((n1, n2, value, rhs[(n1, n2)]) for (n1, n2), value in lhs.values.items())
+    return CheckReport("theorem7", entries, configs_evaluated=sum(lhs.config_counts.values()))
 
 
 def theorem5_check(
@@ -229,17 +202,20 @@ def zprod_table(
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-) -> CoeffTable:
+) -> InvariantResult:
     """Product-side generating series: total Chern of the untwisted
     extension class times total Chern of the M-twisted one, integrated
-    over the product of Hilbert schemes.
+    over the product of Hilbert schemes, cut to n2 <= n1 <= nmax.
 
     There is no closed-form oracle; values are checked for exactness,
     constancy and integrality, and pinned as regression goldens.
     """
     spec = IntegrandSpec("product", (total_chern_em(), total_chern_em(M)))
-    table = _localization_table(S, nmax, spec, seed)
-    for (n1, n2), value in table.entries.items():
+    res = integrate(S, nmax, nmax, spec, seed=seed)
+    keys = _table_keys(nmax)
+    table = replace(res, values={k: res.values[k] for k in keys},
+                    config_counts={k: res.config_counts[k] for k in keys})
+    for (n1, n2), value in table.values.items():
         if value.denominator != 1:
             raise NestHilbError(f"non-integral zprod {value} on {S.name} at ({n1}, {n2})")
     return table

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,15 @@ class TestLineBundles:
     def test_wrong_coefficient_count(self):
         with pytest.raises(WrongCoefficientCount):
             line_bundle(surface_p2(), [1, 2])
+
+    @pytest.mark.parametrize(
+        "coeffs,index", [([0.0, 0, 1], 0), ([0, Fraction(1, 2), 1], 1), ([0, 0, True], 2)]
+    )
+    def test_non_integer_coefficient_rejected(self, coeffs, index):
+        got = re.escape(repr(coeffs[index]))
+        match = rf"divisor coefficient {index}: expected an integer, got {got}"
+        with pytest.raises(ValueError, match=match):
+            line_bundle(surface_p2(), coeffs)
 
 
 class TestIntersect:

@@ -1,5 +1,9 @@
+import ast
+import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,9 @@ from nesthilb.charalg import Character
 from nesthilb.cli import main, run_checks
 from nesthilb.errors import InconsistentTangent, NestHilbError
 from nesthilb.toric import (
+    EquivariantLineBundle,
     canonical_bundle,
+    intersect,
     line_bundle,
     surface_hirzebruch,
     surface_p1xp1,
@@ -59,27 +65,29 @@ class TestProductFormulaSide:
     def test_plane_trivial_exponents_and_spot_values(self):
         S = surface_p2()
         rhs = theorem7_rhs(S, S.bundle("O"), 2)
-        assert rhs.entries[(0, 0)] == 1
-        assert rhs.entries[(1, 0)] == -9
-        assert rhs.entries[(1, 1)] == 3
-        assert rhs.entries[(2, 0)] == 36
+        assert rhs[(0, 0)] == 1
+        assert rhs[(1, 0)] == -9
+        assert rhs[(1, 1)] == 3
+        assert rhs[(2, 0)] == 36
 
     def test_plane_matches_hand_expansion(self):
         S = surface_p2()
         rhs = theorem7_rhs(S, S.bundle("O"), 3)
         byhand = expand_by_hand_plane_trivial(3)
-        for key, value in rhs.entries.items():
+        for key, value in rhs.items():
             assert value == byhand.get(key, 0), key
 
     def test_quadric_trivial(self):
         S = surface_p1xp1()
         rhs = theorem7_rhs(S, S.bundle("O"), 1)
         # A = 8, B = -4
-        assert rhs.entries[(1, 0)] == -8
-        assert rhs.entries[(1, 1)] == 4
+        assert rhs[(1, 0)] == -8
+        assert rhs[(1, 1)] == 4
 
     def test_non_integral_pairing_is_an_engine_error(self, monkeypatch):
-        monkeypatch.setattr(nesthilb.verify, "intersect", lambda *a, **k: Fraction(1, 2))
+        # K^2 = 1/2, K.M = M^2 = 0: a constant would cancel in A = K^2 - K.M
+        pairings = iter([Fraction(1, 2), Fraction(0), Fraction(0)])
+        monkeypatch.setattr(nesthilb.verify, "intersect", lambda *a, **k: next(pairings))
         S = surface_p2()
         with pytest.raises(NestHilbError, match=r"A=1/2.* on p2"):
             theorem7_rhs(S, S.bundle("O"), 1)
@@ -87,7 +95,30 @@ class TestProductFormulaSide:
     def test_empty_product(self):
         S = surface_p1xp1()
         M = line_bundle(S, [0, 0, 1, 1])
-        assert theorem7_rhs(S, M, 0).entries == {(0, 0): Fraction(1)}
+        assert theorem7_rhs(S, M, 0) == {(0, 0): Fraction(1)}
+
+    def test_bundle_from_another_surface_rejected(self):
+        S = surface_p2()
+        M = line_bundle(surface_p1xp1(), [0, 0, 1, 0])
+        match = r"bundle 'O\(0,0,1,0\)' has 4 weights, but surface 'p2' has 3"
+        with pytest.raises(ValueError, match=match):
+            theorem7_rhs(S, M, 2)
+        with pytest.raises(ValueError, match=match):
+            theorem7_check(S, M, 2)
+
+    @pytest.mark.parametrize("make", [surface_p2, surface_p1xp1, lambda: surface_hirzebruch(2)],
+                             ids=["p2", "p1xp1", "fa:2"])
+    def test_exponents_are_bilinear_in_intersection_numbers(self, make):
+        # A = <K, K-M> and B + e = <K-M, M>, with K - M built weight by weight
+        S = make()
+        K = canonical_bundle(S)
+        KK = intersect(S, K, K)
+        for coeffs in product((-1, 0, 1), repeat=len(S.rays)):
+            M = line_bundle(S, list(coeffs))
+            KmM = EquivariantLineBundle("K-M", tuple(k - m for k, m in zip(K.weights, M.weights)))
+            KM, MM = intersect(S, K, M), intersect(S, M, M)
+            assert intersect(S, K, KmM) == KK - KM, coeffs
+            assert intersect(S, KmM, M) == KM - MM, coeffs
 
 
 class TestGeneratingFunctionMatch:
@@ -112,8 +143,8 @@ class TestReachOfTheVertexProduct:
         S = make()
         M = line_bundle(S, coeffs)
         lhs = theorem7_lhs(S, M, 6)
-        assert lhs.entries == theorem7_rhs(S, M, 6).entries
-        assert len(lhs.entries) == 28
+        assert lhs.values == theorem7_rhs(S, M, 6)
+        assert len(lhs.values) == 28
 
 
 class TestNestedVsProduct:
@@ -234,6 +265,10 @@ ZPROD_GOLDEN = {
         (0, 0): 1, (1, 0): 0, (1, 1): 3,
         (2, 0): 0, (2, 1): 0, (2, 2): 9,
     },
+    ("p1xp1", "K"): {
+        (0, 0): 1, (1, 0): 0, (1, 1): 4,
+        (2, 0): 0, (2, 1): 0, (2, 2): 14,
+    },
 }
 
 
@@ -243,8 +278,14 @@ class TestProductSeriesGoldens:
             S = surface_p2() if sname == "p2" else surface_p1xp1()
             M = S.bundle(blabel)
             table = zprod_table(S, M, 2)
-            assert {k: int(v) for k, v in table.entries.items()} == expected
+            assert {k: int(v) for k, v in table.values.items()} == expected
+
+    def test_regeneration_script_prints_the_goldens(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "zprod_goldens.py"
+        done = subprocess.run([sys.executable, str(script), "2"],
+                              capture_output=True, text=True, check=True)
+        assert ast.literal_eval("{" + done.stdout + "}") == ZPROD_GOLDEN
 
     def test_integrality_enforced(self):
         table = zprod_table(surface_p2(), canonical_bundle(surface_p2()), 1)
-        assert all(v.denominator == 1 for v in table.entries.values())
+        assert all(v.denominator == 1 for v in table.values.values())
