@@ -65,22 +65,8 @@ class Character:
     def monomial(a: int, b: int, coeff: int = 1) -> "Character":
         return Character({(a, b): coeff})
 
-    @staticmethod
-    def zero() -> "Character":
-        return Character()
-
-    @staticmethod
-    def one() -> "Character":
-        return Character({(0, 0): 1})
-
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __add__(self, other: "Character") -> "Character":
         out = dict(self.terms)
@@ -101,10 +87,6 @@ class Character:
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + v1 * v2
         return Character(out)
-
-    def bar(self) -> "Character":
-        """Invert both torus variables: (a, b) -> (-a, -b)."""
-        return Character({(-a, -b): v for (a, b), v in self.terms.items()})
 
     def signed_rank(self) -> int:
         """Value at t1 = t2 = 1."""

@@ -1,15 +1,21 @@
 """Fixed-point character formulas and configuration enumeration.
 
-All formulas are Laurent polynomials in the local chart variables; the
-outer partition (size n1) plays the role of Z1 and the inner partition
-(size n2) the role of Z2.  That pairing is fixed by two constraints
-checked in the tests: the diagonal Z1 = Z2 reduces to the Hilbert-scheme
-tangent character, and the signed rank of the nested tangent character
-equals n1 + n2.
+Characters are Laurent polynomials in the local chart variables, built
+from box characters: box (i, j) is t1^i t2^j, column i along t1 and row
+j along t2.  Every local character is one arm/leg sum (Carlsson-Okounkov,
+"Exts and vertex operators"), ``em_char(Z1, Z2)``: with row_k(j), col_k(i)
+the row and column lengths of Z_k, a box (i, j) of Z1 gives
+t1^(i - row1(j)) t2^(col2(i) - j - 1) and one of Z2 gives
+t1^(row2(j) - i - 1) t2^(j - col1(i)).  So the extension class is
+effective of rank n1 + n2 by construction.  Z1 is the outer partition
+(size n1), Z2 the inner (size n2), and the Hilbert tangent is
+em_char(Z, Z): the nested tangent T1 + T2 - Ext(Z1, Z2) reduces to it at
+Z1 = Z2 and has signed rank n1 + n2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -19,32 +25,26 @@ from .errors import InvalidNesting
 from .partitions import Partition, box_char, nested_pairs, partitions_of
 from .toric import ToricSurfaceDescriptor
 
-# (1 - t1)(1 - t2) / (t1 t2), the two-variable Koszul factor
-_KOSZUL = Character({(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1})
-_INV_T1T2 = Character.monomial(-1, -1)
-
 
 def nested_tangent_char(Z1: Character, Z2: Character) -> Character:
     """Virtual tangent character of the nested scheme at one chart."""
-    return (
-        Z1
-        + Z2.bar() * _INV_T1T2
-        + (Z1.bar() * Z2 - Z1.bar() * Z1 - Z2.bar() * Z2) * _KOSZUL
-    )
+    return em_char(Z1, Z1) + em_char(Z2, Z2) - em_char(Z1, Z2)
 
 
 def hilb_tangent_char(Z: Character) -> Character:
     """Tangent character of the (smooth) Hilbert scheme of points at one chart."""
-    return Z + Z.bar() * _INV_T1T2 - Z.bar() * Z * _KOSZUL
+    return em_char(Z, Z)
 
 
 def em_char(Z1: Character, Z2: Character) -> Character:
-    """Local character of the virtual extension class of rank n1 + n2.
-
-    A twisting line bundle enters its Chern series as the integer value
-    of the bundle's weight (``chern_useries``'s ``twist``).
-    """
-    return Z2 + Z1.bar() * _INV_T1T2 - Z1.bar() * Z2 * _KOSZUL
+    """Local character of the virtual extension class of rank n1 + n2:
+    one term per box of Z1 and of Z2 (see the module docstring)."""
+    row1, col1 = Counter(j for _, j in Z1.terms), Counter(i for i, _ in Z1.terms)
+    row2, col2 = Counter(j for _, j in Z2.terms), Counter(i for i, _ in Z2.terms)
+    return Character(Counter(
+        [(i - row1[j], col2[i] - j - 1) for i, j in Z1.terms]
+        + [(row2[j] - i - 1, j - col1[i]) for i, j in Z2.terms]
+    ))
 
 
 @dataclass(frozen=True)

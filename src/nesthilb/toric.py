@@ -89,10 +89,15 @@ class ToricSurfaceDescriptor:
         raise KeyError(f"no bundle named {label!r} on surface {self.name!r}")
 
     def check_bundles(self, *bundles: EquivariantLineBundle | None) -> None:
+        """Refuse a bundle with the wrong weight count or off the GKM conditions."""
         for L in filter(None, bundles):
             if len(L.weights) != len(self.charts):
                 raise ValueError(f"bundle {L.label!r} has {len(L.weights)} weights, but "
                                  f"surface {self.name!r} has {len(self.charts)} fixed points")
+            try:
+                _check_edges(self.charts, {L.label: L.weights})
+            except ValueError as err:
+                raise ValueError(f"bundle {L.label!r} on surface {self.name!r}: {err}") from None
 
 
 def _solve_pairing(v1: tuple[int, int], v2: tuple[int, int], c1: int, c2: int) -> Weight:
@@ -286,18 +291,18 @@ def _check_edges(charts: list[FixedPointChart], bundles: dict[str, list[Weight]]
         return f"[{w.a}, {w.b}]"
 
     for k, chart in enumerate(charts):
-        for w in (chart.w1, chart.w2):
-            ends = [j for j, c in enumerate(charts) if j != k and -w in (c.w1, c.w2)]
+        for w, minus in ((chart.w1, -chart.w1), (chart.w2, -chart.w2)):
+            ends = [j for j, c in enumerate(charts) if j != k and minus in (c.w1, c.w2)]
             if not ends:
                 raise ValueError(
                     f"fixed_points[{k}]: chart weight {show(w)} has no other fixed point "
-                    f"with chart weight {show(-w)}"
+                    f"with chart weight {show(minus)}"
                 )
             bad = [
-                (j, lab, ws[k] - ws[j])
+                (j, lab, d)
                 for j in ends
                 for lab, ws in bundles.items()
-                if not _is_multiple(ws[k] - ws[j], w)
+                if not _is_multiple(d := ws[k] - ws[j], w)
             ]
             if len({j for j, _, _ in bad}) == len(ends):
                 j, lab, d = bad[0]

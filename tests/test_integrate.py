@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nesthilb.charalg import Weight
 from nesthilb.errors import NonConstantSum
 from nesthilb.integrate import (
     Factor,
@@ -20,9 +21,24 @@ from nesthilb.integrate import (
     total_chern_tangent,
     total_chern_twisted_tangent,
 )
-from nesthilb.toric import canonical_bundle, line_bundle, surface_p1xp1, surface_p2
+from nesthilb.toric import (
+    EquivariantLineBundle,
+    FixedPointChart,
+    ToricSurfaceDescriptor,
+    canonical_bundle,
+    intersect,
+    line_bundle,
+    surface_hirzebruch,
+    surface_p1xp1,
+    surface_p2,
+)
 
 NESTED_EO = IntegrandSpec("nested", (total_chern_em(),))
+
+
+def _permuted(L: EquivariantLineBundle) -> EquivariantLineBundle:
+    """L's first two fixed-point weights swapped: data of no line bundle."""
+    return EquivariantLineBundle("broken", (L.weights[1], L.weights[0], *L.weights[2:]))
 
 
 class TestBaseCases:
@@ -160,6 +176,30 @@ class TestDegreesFromLocalTerms:
             assert k == 2 * (a + b) - sum(degrees)  # vdim 2(n1 + n2)
 
 
+class TestEffectiveFactors:
+    # every factor class is an honest representation at every fixed point:
+    # one term of multiplicity +1 per box its arm/leg sum runs over
+    FACTORS = (
+        (Factor("total", "em"), lambda a, b: a + b),
+        (Factor("total", "em_rev"), lambda a, b: a + b),
+        (Factor("total", "taut", slot=1), lambda a, b: a),
+        (Factor("total", "taut", slot=2), lambda a, b: b),
+        (Factor("total", "tangent", slot=1), lambda a, b: 2 * a),
+        (Factor("total", "tangent", slot=2), lambda a, b: 2 * b),
+    )
+
+    @pytest.mark.parametrize("mode,nmax,pairs", [("product", 6, 900), ("nested", 8, 862)])
+    def test_positive_multiplicities_and_rank_by_box_count(self, mode, nmax, pairs):
+        factors, boxes = zip(*self.FACTORS)
+        local = _local_terms(IntegrandSpec(mode, factors), nmax, nmax)
+        assert sum(map(len, local.values())) == pairs
+        for (a, b), terms in local.items():
+            for _, chars in terms:
+                for char, f, count in zip(chars, factors, boxes):
+                    assert all(m > 0 for m in char.terms.values()), (mode, a, b, f)
+                    assert char.signed_rank() == count(a, b), (mode, a, b, f)
+
+
 class TestTopChernFactor:
     def test_top_chern_equals_index_at_rank(self):
         S = surface_p2()
@@ -202,6 +242,26 @@ class TestBundleFromAnotherSurface:
         with pytest.raises(ValueError, match=match):
             integrate(S, 1, 0, spec)
 
+    # with as many weights as the surface has fixed points, a bundle that
+    # breaks its GKM conditions is refused before any sum: unchecked, F_2's
+    # O(0,1,0,0) on p1xp1 gave a non-constant sum
+    @pytest.mark.parametrize(
+        "S,M",
+        [
+            (surface_p1xp1(), line_bundle(surface_hirzebruch(2), [0, 1, 0, 0])),
+            (surface_p2(), _permuted(line_bundle(surface_p2(), [0, 0, 1]))),
+        ],
+        ids=["f2-bundle-on-p1xp1", "permuted-weights-on-p2"],
+    )
+    @pytest.mark.parametrize("call", ["integrate", "intersect"])
+    def test_rejected_by_the_gkm_conditions(self, S, M, call):
+        match = re.escape(f"bundle {M.label!r} on surface {S.name!r}: fixed_points[")
+        with pytest.raises(ValueError, match=match):
+            if call == "integrate":
+                integrate(S, 2, 1, IntegrandSpec("nested", (total_chern_em(M),)))
+            else:
+                intersect(S, M, M)
+
 
 class TestNoSubstitution:
     # Z_p is evaluated at each chart's projected point; only the oracle
@@ -230,15 +290,12 @@ class TestNoSubstitution:
 
 
 class TestNonConstantDetection:
-    def test_inconsistent_bundle_data_is_loud(self):
-        # permuting the fixed-point weights of O(1) yields equivariant
-        # data that belongs to no line bundle; the sum must depend on
-        # the specialization and fail loudly
-        S = surface_p2()
-        L = line_bundle(S, [0, 0, 1])
-        broken = type(L)(
-            label="broken", weights=(L.weights[1], L.weights[0], L.weights[2])
-        )
-        spec = IntegrandSpec("nested", (total_chern_em(broken),))
-        with pytest.raises(NonConstantSum, match=r"p2 \(1, 0, nested\) entry \(1, 0\): -?\d"):
+    def test_inconsistent_surface_data_is_loud(self):
+        # a third chart whose weights are no edge to the other two fixed
+        # points belongs to no toric surface; the sum must depend on the
+        # specialization and fail loudly, naming its entry
+        charts = surface_p2().charts[:2] + (FixedPointChart(Weight(2, 1), Weight(1, 3)),)
+        S = ToricSurfaceDescriptor("bad", charts)
+        spec = IntegrandSpec("nested", (total_chern_em(),))
+        with pytest.raises(NonConstantSum, match=r"bad \(1, 0, nested\) entry \(1, 0\): -?\d"):
             integrate(S, 1, 0, spec)

@@ -9,6 +9,10 @@ It shares only the character formulas with the engine, which multiplies
 one local factor per fixed point instead.  case3's class counts are
 checked the same way, against the classes of every enumerated
 configuration's tangent.
+
+The character formulas, which the engine reads off arm and leg lengths,
+are checked against the Koszul formulas: ring products of box characters,
+their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 """
 
 import sys
@@ -22,7 +26,13 @@ from hypothesis import strategies as st
 
 from nesthilb.charalg import Character, Weight, chern_useries
 from nesthilb.errors import InconsistentTangent
-from nesthilb.fixedchar import FixedConfig, enumerate_configs
+from nesthilb.fixedchar import (
+    FixedConfig,
+    em_char,
+    enumerate_configs,
+    hilb_tangent_char,
+    nested_tangent_char,
+)
 from nesthilb.integrate import (
     IntegrandSpec,
     _at_chart,
@@ -43,7 +53,7 @@ from nesthilb.integrate import (
     total_chern_tangent,
     total_chern_twisted_tangent,
 )
-from nesthilb.partitions import Partition, box_char
+from nesthilb.partitions import Partition, box_char, partitions_of
 from nesthilb.toric import (
     canonical_bundle,
     line_bundle,
@@ -141,6 +151,71 @@ class TestChernSeriesAgainstReference:
         fast = chern_useries(c, x, y, cutoff).coeffs
         assert fast == reference_chern(c, Fraction(x), Fraction(y), cutoff)
         assert all(type(e) is int for e in fast)
+
+
+def bar(c: Character) -> Character:
+    """The dual character: invert both torus variables, (a, b) -> (-a, -b)."""
+    return Character({(-a, -b): v for (a, b), v in c.terms.items()})
+
+
+# (1 - t1)(1 - t2) / (t1 t2), the two-variable Koszul factor
+KOSZUL = Character({(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1})
+INV_T1T2 = Character.monomial(-1, -1)
+
+
+def koszul_em(Z1: Character, Z2: Character) -> Character:
+    return Z2 + bar(Z1) * INV_T1T2 - bar(Z1) * Z2 * KOSZUL
+
+
+def koszul_hilb_tangent(Z: Character) -> Character:
+    return Z + bar(Z) * INV_T1T2 - bar(Z) * Z * KOSZUL
+
+
+def koszul_nested_tangent(Z1: Character, Z2: Character) -> Character:
+    return (
+        Z1
+        + bar(Z2) * INV_T1T2
+        + (bar(Z1) * Z2 - bar(Z1) * Z1 - bar(Z2) * Z2) * KOSZUL
+    )
+
+
+def partitions(nmax: int = 8):
+    return st.integers(0, nmax).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+
+
+def nested_partition_pairs(nmax: int = 8):
+    """(outer, inner) with inner boxwise inside outer."""
+    def inside(outer):
+        inner = [mu for n in range(outer.size + 1) for mu in partitions_of(n) if outer.contains(mu)]
+        return st.tuples(st.just(outer), st.sampled_from(inner))
+
+    return partitions(nmax).flatmap(inside)
+
+
+class TestArmLegAgainstKoszul:
+    @given(partitions(), partitions())
+    @settings(max_examples=300, deadline=None)
+    @example(Partition(()), Partition((3, 1)))
+    @example(Partition((2, 2, 1)), Partition(()))
+    @example(Partition((4, 1, 1)), Partition((2, 2, 2)))
+    def test_em_char_on_independent_pairs(self, lam, mu):
+        Z1, Z2 = box_char(lam), box_char(mu)
+        assert em_char(Z1, Z2) == koszul_em(Z1, Z2)
+
+    @given(partitions())
+    @settings(max_examples=100, deadline=None)
+    @example(Partition(()))
+    def test_hilb_tangent_char(self, lam):
+        Z = box_char(lam)
+        assert hilb_tangent_char(Z) == koszul_hilb_tangent(Z)
+
+    @given(nested_partition_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example((Partition((2,)), Partition((1,))))
+    @example((Partition((3, 2, 1)), Partition((2, 1))))
+    def test_nested_tangent_char_on_nested_pairs(self, pair):
+        Z1, Z2 = box_char(pair[0]), box_char(pair[1])
+        assert nested_tangent_char(Z1, Z2) == koszul_nested_tangent(Z1, Z2)
 
 
 def _entry_cases():

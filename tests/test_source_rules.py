@@ -7,7 +7,8 @@ from pathlib import Path
 import nesthilb
 
 SRC = Path(nesthilb.__file__).resolve().parent
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_no_assert_statements():
@@ -54,3 +55,35 @@ def test_benchmark_trace_sites_exist():
         if attr not in owner.__dict__:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+# bound in perfbench/tracing.py SITES, but no longer reached by any workload:
+# the configuration oracle and its chart substitution
+KNOWN_SILENT_SITES = {
+    "nesthilb.fixedchar.enumerate_configs on fixed-points",
+    "nesthilb.integrate.enumerate_configs on product-pair",
+    "nesthilb.integrate._tangent_character on fixed-points",
+    "nesthilb.integrate.substitute_chart on fixed-points",
+}
+
+
+def test_silent_trace_sites_are_the_known_ones(monkeypatch):
+    # one traced pass per benchmark workload; a site that stops firing on
+    # its named workload reports nothing, so the set of silent ones may
+    # only shrink
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    measure, tracing, workloads = map(importlib.import_module, ("measure", "tracing", "workloads"))
+    workloads.import_nesthilb()
+    reference = workloads.load_reference()
+    silent = set()
+    for name, cells in workloads.WORKLOADS.items():
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            result = measure.run_pass(cells, reference[name], 3, tracer)
+        assert result["failures"] == [], name
+        silent |= {
+            f"{module}.{attr} on {workload}"
+            for module, attr, workload in tracing.SITES
+            if workload == name and tracer.counts[f"{module}.{attr}"] == 0
+        }
+    assert silent == KNOWN_SILENT_SITES

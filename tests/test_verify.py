@@ -235,7 +235,7 @@ class TestDimensionConsistency:
         def one_weight_short(Z1, Z2, mode):
             tangent = real(Z1, Z2, mode)
             if Z1.signed_rank() == 2:  # every local pair whose outer partition has size 2
-                tangent = tangent + Character.one()
+                tangent = tangent + Character.monomial(0, 0)
             return tangent
 
         monkeypatch.setattr(integrate_module, "_local_tangent", one_weight_short)
