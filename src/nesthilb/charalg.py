@@ -164,13 +164,6 @@ class USeries:
     def one(cutoff: int) -> "USeries":
         return USeries([1] + [0] * cutoff, cutoff)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, USeries)
-            and self.cutoff == other.cutoff
-            and self.coeffs == other.coeffs
-        )
-
     def __mul__(self, other: "USeries") -> "USeries":
         if self.cutoff != other.cutoff:
             raise ValueError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
@@ -182,9 +175,6 @@ class USeries:
                 for j in range(n - i + 1):
                     out[i + j] += a * bs[j]
         return USeries(out, n)
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k]
 
     def __repr__(self):
         return f"USeries({self.coeffs})"

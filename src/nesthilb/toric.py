@@ -15,7 +15,7 @@ every fixed point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charalg import Rational, Weight
@@ -43,10 +43,22 @@ class FixedPointChart:
 
 @dataclass(frozen=True)
 class EquivariantLineBundle:
-    """A line bundle given by its fiber weight at each fixed point."""
+    """A line bundle on ``surface``, given by its fiber weight at each fixed
+    point; checked against the surface's GKM conditions once, when made."""
 
     label: str
     weights: tuple[Weight, ...]
+    surface: ToricSurfaceDescriptor = field(repr=False)
+
+    def __post_init__(self):
+        S = self.surface
+        if len(self.weights) != len(S.charts):
+            raise ValueError(f"bundle {self.label!r} has {len(self.weights)} weights, but "
+                             f"surface {S.name!r} has {len(S.charts)} fixed points")
+        try:
+            _check_edges(S.charts, {self.label: self.weights})
+        except ValueError as err:
+            raise ValueError(f"bundle {self.label!r} on surface {S.name!r}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -85,19 +97,15 @@ class ToricSurfaceDescriptor:
             return canonical_bundle(self)
         for name, weights in self.named_bundles:
             if name == label:
-                return EquivariantLineBundle(label, weights)
+                return EquivariantLineBundle(label, weights, self)
         raise KeyError(f"no bundle named {label!r} on surface {self.name!r}")
 
     def check_bundles(self, *bundles: EquivariantLineBundle | None) -> None:
-        """Refuse a bundle with the wrong weight count or off the GKM conditions."""
+        """Refuse a bundle made on another surface."""
         for L in filter(None, bundles):
-            if len(L.weights) != len(self.charts):
-                raise ValueError(f"bundle {L.label!r} has {len(L.weights)} weights, but "
-                                 f"surface {self.name!r} has {len(self.charts)} fixed points")
-            try:
-                _check_edges(self.charts, {L.label: L.weights})
-            except ValueError as err:
-                raise ValueError(f"bundle {L.label!r} on surface {self.name!r}: {err}") from None
+            if L.surface != self:
+                raise ValueError(f"bundle {L.label!r} was made on surface {L.surface.name!r}, "
+                                 f"but is used on surface {self.name!r}")
 
 
 def _solve_pairing(v1: tuple[int, int], v2: tuple[int, int], c1: int, c2: int) -> Weight:
@@ -156,18 +164,16 @@ def line_bundle(S: ToricSurfaceDescriptor, divisor_coeffs: list[int]) -> Equivar
         for vi, vj, ai, aj in zip(rays, rays[1:] + rays[:1], a, a[1:] + a[:1])
     )
     label = "O(" + ",".join(str(c) for c in divisor_coeffs) + ")"
-    return EquivariantLineBundle(label, weights)
+    return EquivariantLineBundle(label, weights, S)
 
 
 def trivial_bundle(S: ToricSurfaceDescriptor) -> EquivariantLineBundle:
-    return EquivariantLineBundle("O", tuple(Weight(0, 0) for _ in S.charts))
+    return EquivariantLineBundle("O", tuple(Weight(0, 0) for _ in S.charts), S)
 
 
 def canonical_bundle(S: ToricSurfaceDescriptor) -> EquivariantLineBundle:
     """Weight -w1 - w2 at each fixed point."""
-    return EquivariantLineBundle(
-        "K", tuple(-(c.w1 + c.w2) for c in S.charts)
-    )
+    return EquivariantLineBundle("K", tuple(-(c.w1 + c.w2) for c in S.charts), S)
 
 
 def intersect(
@@ -223,7 +229,7 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
                                   "bundles": { "<label>": [a,b] } } ] }
     Integers only; floats are rejected.  Pairings are always computed by
     localization, so an "intersections" table is rejected.  Chart and
-    bundle weights must satisfy the GKM conditions (``_check_edges``).
+    bundle weights, K's included, must satisfy the GKM conditions (``_check_edges``).
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -266,7 +272,7 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
         for lab in labels:
             per_label[lab].append(_parse_weight(bundles[lab], f"{where}.bundles[{lab}]"))
 
-    _check_edges(charts, per_label)
+    _check_edges(charts, per_label | {"K": [-(c.w1 + c.w2) for c in charts]})
     return ToricSurfaceDescriptor(
         name=name,
         charts=tuple(charts),
@@ -285,11 +291,12 @@ def _check_edges(charts: list[FixedPointChart], bundles: dict[str, list[Weight]]
     Every chart weight w at fixed point k is the edge to another fixed
     point j that carries -w, and every bundle's weights at k and j differ
     by an integer multiple of w.  Without them the localization sums are
-    not constant.
+    not constant.  All charts are checked before any bundle.
     """
     def show(w: Weight) -> str:
         return f"[{w.a}, {w.b}]"
 
+    edges = []
     for k, chart in enumerate(charts):
         for w, minus in ((chart.w1, -chart.w1), (chart.w2, -chart.w2)):
             ends = [j for j, c in enumerate(charts) if j != k and minus in (c.w1, c.w2)]
@@ -298,18 +305,20 @@ def _check_edges(charts: list[FixedPointChart], bundles: dict[str, list[Weight]]
                     f"fixed_points[{k}]: chart weight {show(w)} has no other fixed point "
                     f"with chart weight {show(minus)}"
                 )
-            bad = [
-                (j, lab, d)
-                for j in ends
-                for lab, ws in bundles.items()
-                if not _is_multiple(d := ws[k] - ws[j], w)
-            ]
-            if len({j for j, _, _ in bad}) == len(ends):
-                j, lab, d = bad[0]
-                raise ValueError(
-                    f"fixed_points[{k}]: bundle {lab!r} weights here and at fixed_points[{j}] "
-                    f"differ by {show(d)}, not a multiple of the chart weight {show(w)}"
-                )
+            edges.append((k, w, ends))
+    for k, w, ends in edges:
+        bad = [
+            (j, lab, d)
+            for j in ends
+            for lab, ws in bundles.items()
+            if not _is_multiple(d := ws[k] - ws[j], w)
+        ]
+        if len({j for j, _, _ in bad}) == len(ends):
+            j, lab, d = bad[0]
+            raise ValueError(
+                f"fixed_points[{k}]: bundle {lab!r} weights here and at fixed_points[{j}] "
+                f"differ by {show(d)}, not a multiple of the chart weight {show(w)}"
+            )
 
 
 def surface_from_file(path: str) -> ToricSurfaceDescriptor:

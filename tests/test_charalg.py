@@ -116,9 +116,11 @@ class TestSubstituteChart:
         # (x, y), and a twist by the monomial of m is the integer m(x, y)
         w1, w2 = ws
         X, Y = w1.value(x, y), w2.value(x, y)
-        assert chern_useries(p, X, Y, k) == chern_useries(substitute_chart(p, w1, w2), x, y, k)
+        lhs = chern_useries(p, X, Y, k).coeffs
+        assert lhs == chern_useries(substitute_chart(p, w1, w2), x, y, k).coeffs
         twisted = substitute_chart(p, w1, w2) * Character.monomial(*m)
-        assert chern_useries(p, X, Y, k, m.value(x, y)) == chern_useries(twisted, x, y, k)
+        lhs = chern_useries(p, X, Y, k, m.value(x, y)).coeffs
+        assert lhs == chern_useries(twisted, x, y, k).coeffs
 
     @given(local_chars().filter(lambda p: not p.zero_multiplicity()), chart_weights(),
            st.integers(-50, 50), st.integers(-50, 50))
@@ -162,7 +164,7 @@ class TestEulerValue:
 class TestChernSeries:
     def test_empty_character(self):
         s = chern_useries(Character(), 1, 2, 3)
-        assert s == USeries.one(3)
+        assert s.coeffs == USeries.one(3).coeffs
 
     def test_single_line(self):
         c = Character({(1, 0): 1})
@@ -180,14 +182,14 @@ class TestChernSeries:
         b = Character({(0, 1): 1, (2, -1): 3})
         lhs = chern_useries(a + b, x, y, 4)
         rhs = chern_useries(a, x, y, 4) * chern_useries(b, x, y, 4)
-        assert lhs == rhs
+        assert lhs.coeffs == rhs.coeffs
 
     def test_euler_is_top_chern_for_effective_characters(self):
         x, y = 77, 6
         c = Character({(1, 0): 2, (0, 1): 1, (1, 2): 1})
         r = c.signed_rank()
         s = chern_useries(c, x, y, r)
-        assert s.coefficient(r) == euler_value(c, x, y)
+        assert s.coeffs[r] == euler_value(c, x, y)
 
     def test_rational_point_rejected(self):
         # floor division on a Fraction would give a silently wrong series

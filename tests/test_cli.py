@@ -79,6 +79,20 @@ class TestExitCodes:
         assert run_cli(["--surface", f"file:{path}"]) == 2
         assert "fixed_points[0]: chart weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["theorem7", "case2"])
+    def test_inconsistent_canonical_bundle_is_usage_error(self, tmp_path, capsys, check):
+        # the charts meet the edge conditions but K = -w1 - w2 does not;
+        # unchecked at load, these checks died on K with a traceback
+        descriptor = {"name": "bad-K", "fixed_points": [
+            {"w1": [1, 0], "w2": [0, 1]},
+            {"w1": [-1, 0], "w2": [1, 1]},
+            {"w1": [-1, -1], "w2": [0, -1]},
+        ]}
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(descriptor))
+        assert run_cli(["--surface", f"file:{path}", "--check", check, "--nmax", "0"]) == 2
+        assert "fixed_points[0]: bundle 'K'" in capsys.readouterr().err
+
     def test_non_object_fixed_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "surface.json"
         path.write_text(json.dumps({"name": "ints", "fixed_points": [1, 2, 3]}))

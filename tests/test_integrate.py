@@ -1,9 +1,11 @@
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from nesthilb import toric
 from nesthilb.charalg import Weight
 from nesthilb.errors import NonConstantSum
 from nesthilb.integrate import (
@@ -31,14 +33,16 @@ from nesthilb.toric import (
     surface_hirzebruch,
     surface_p1xp1,
     surface_p2,
+    trivial_bundle,
 )
+from nesthilb.verify import theorem5_check
 
 NESTED_EO = IntegrandSpec("nested", (total_chern_em(),))
 
 
 def _permuted(L: EquivariantLineBundle) -> EquivariantLineBundle:
     """L's first two fixed-point weights swapped: data of no line bundle."""
-    return EquivariantLineBundle("broken", (L.weights[1], L.weights[0], *L.weights[2:]))
+    return EquivariantLineBundle("broken", (L.weights[1], L.weights[0], *L.weights[2:]), L.surface)
 
 
 class TestBaseCases:
@@ -225,42 +229,84 @@ class TestRoleExchange:
         assert a == b
 
 
-class TestBundleFromAnotherSurface:
-    # unchecked, a p2 bundle on p1xp1 runs out of weights (IndexError) and
-    # a p1xp1 bundle on p2 gives a non-constant sum
-    @pytest.mark.parametrize(
-        "S,M,message",
-        [
-            (surface_p1xp1(), line_bundle(surface_p2(), [0, 0, 1]), "'O(0,0,1)' has 3 weights"),
-            (surface_p2(), line_bundle(surface_p1xp1(), [0, 0, 1, 0]), "'O(0,0,1,0)' has 4 weights"),
-        ],
-        ids=["p2-bundle-on-p1xp1", "p1xp1-bundle-on-p2"],
-    )
-    def test_rejected_with_both_counts(self, S, M, message):
-        spec = IntegrandSpec("nested", (total_chern_em(M),))
-        match = re.escape(f"bundle {message}, but surface '{S.name}' has {len(S.charts)} fixed")
-        with pytest.raises(ValueError, match=match):
-            integrate(S, 1, 0, spec)
+def _refused_message(M: EquivariantLineBundle, S: ToricSurfaceDescriptor) -> str:
+    return re.escape(f"bundle {M.label!r} was made on surface {M.surface.name!r}, "
+                     f"but is used on surface {S.name!r}")
 
-    # with as many weights as the surface has fixed points, a bundle that
-    # breaks its GKM conditions is refused before any sum: unchecked, F_2's
-    # O(0,1,0,0) on p1xp1 gave a non-constant sum
+
+class TestBundleFromAnotherSurface:
+    # a bundle belongs to the surface it was made on; unchecked, a p2 bundle
+    # on p1xp1 runs out of weights (IndexError) and a p1xp1 bundle on p2
+    # gives a non-constant sum
     @pytest.mark.parametrize(
         "S,M",
         [
-            (surface_p1xp1(), line_bundle(surface_hirzebruch(2), [0, 1, 0, 0])),
-            (surface_p2(), _permuted(line_bundle(surface_p2(), [0, 0, 1]))),
+            (surface_p1xp1(), line_bundle(surface_p2(), [0, 0, 1])),
+            (surface_p2(), line_bundle(surface_p1xp1(), [0, 0, 1, 0])),
+        ],
+        ids=["p2-bundle-on-p1xp1", "p1xp1-bundle-on-p2"],
+    )
+    def test_rejected_with_both_counts(self, S, M):
+        spec = IntegrandSpec("nested", (total_chern_em(M),))
+        with pytest.raises(ValueError, match=_refused_message(M, S)):
+            integrate(S, 1, 0, spec)
+
+    # weights that break a surface's GKM conditions make no bundle on it:
+    # F_2's O(0,1,0,0) claimed on p1xp1 (unchecked, a non-constant sum) and
+    # p2's O(0,0,1) with two weights swapped; the bundle is refused where it
+    # is built, so neither call gets to see it
+    @pytest.mark.parametrize(
+        "S,make",
+        [
+            (surface_p1xp1(), lambda S: EquivariantLineBundle(
+                "broken", line_bundle(surface_hirzebruch(2), [0, 1, 0, 0]).weights, S)),
+            (surface_p2(), lambda S: _permuted(line_bundle(S, [0, 0, 1]))),
         ],
         ids=["f2-bundle-on-p1xp1", "permuted-weights-on-p2"],
     )
     @pytest.mark.parametrize("call", ["integrate", "intersect"])
-    def test_rejected_by_the_gkm_conditions(self, S, M, call):
-        match = re.escape(f"bundle {M.label!r} on surface {S.name!r}: fixed_points[")
+    def test_rejected_by_the_gkm_conditions(self, S, make, call):
+        match = re.escape(f"bundle 'broken' on surface {S.name!r}: fixed_points[")
         with pytest.raises(ValueError, match=match):
+            M = make(S)
             if call == "integrate":
                 integrate(S, 2, 1, IntegrandSpec("nested", (total_chern_em(M),)))
             else:
                 intersect(S, M, M)
+
+    # every bundle with coefficients in {-1, 0, 1} is accepted on its own
+    # surface and refused on the three others by both calls.  Weights do not
+    # decide it: F_2's O(0,0,1,0) has the weights of p1xp1's O(0,0,1,0),
+    # and unchecked it integrates as that bundle (70 at (2, 1))
+    def test_every_bundle_belongs_to_its_surface(self):
+        surfaces = [surface_p2(), surface_p1xp1(), surface_hirzebruch(2), surface_hirzebruch(3)]
+        for own in surfaces:
+            for coeffs in product((-1, 0, 1), repeat=len(own.rays)):
+                M = line_bundle(own, list(coeffs))
+                spec = IntegrandSpec("nested", (total_chern_em(M),))
+                for S in surfaces:
+                    if S is own:
+                        integrate(S, 1, 0, spec)
+                        intersect(S, M, M)
+                        continue
+                    with pytest.raises(ValueError, match=_refused_message(M, S)):
+                        integrate(S, 1, 0, spec)
+                    with pytest.raises(ValueError, match=_refused_message(M, S)):
+                        intersect(S, M, trivial_bundle(S))
+
+    def test_built_bundles_are_not_checked_again(self, monkeypatch):
+        # the GKM check runs when S and M are made, never per call
+        S = surface_p1xp1()
+        M = line_bundle(S, [0, 0, 1, 0])
+        runs = []
+        check_edges = toric._check_edges
+        monkeypatch.setattr(toric, "_check_edges", lambda *a: runs.append(a) or check_edges(*a))
+        integrate(S, 2, 1, IntegrandSpec("nested", (total_chern_em(M),)))
+        intersect(S, M, M)
+        theorem5_check(S, M, 1, 1)
+        assert runs == []
+        line_bundle(S, [0, 0, 1, 0])
+        assert len(runs) == 1
 
 
 class TestNoSubstitution:

@@ -36,6 +36,33 @@ def test_no_configuration_enumeration():
     assert found == []
 
 
+def test_gkm_check_runs_only_where_surfaces_and_bundles_are_made():
+    # a bundle is checked once, when it is made; a check per integrate or
+    # intersect call would repeat it on every use
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [
+            (f"{cls.name}.{node.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        found += [
+            f"{path.name}:"
+            + next((name for name, d in defs if d.lineno <= node.lineno <= d.end_lineno), "<module>")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_check_edges"
+        ]
+    assert sorted(found) == [
+        "toric.py:EquivariantLineBundle.__post_init__",
+        "toric.py:surface_from_json",
+    ]
+
+
 def test_benchmark_trace_sites_exist():
     # the traced benchmark patches each (module[:Class], attribute) in
     # perfbench/tracing.py SITES and dies with KeyError on a missing one

@@ -135,8 +135,8 @@ class TestIntersect:
         ids=["p2-bundle-on-p1xp1", "p1xp1-bundle-on-p2"],
     )
     def test_bundle_from_another_surface_rejected(self, S, M):
-        n, m = len(M.weights), len(S.charts)
-        match = rf"bundle '{re.escape(M.label)}' has {n} weights, but surface '{S.name}' has {m}"
+        match = re.escape(f"bundle {M.label!r} was made on surface {M.surface.name!r}, "
+                          f"but is used on surface {S.name!r}")
         with pytest.raises(ValueError, match=match):
             intersect(S, M, trivial_bundle(S))
 
@@ -223,6 +223,18 @@ class TestJsonDescriptor:
         path.write_text(json.dumps(bad))
         assert main(["--surface", f"file:{path}", "--bundle", "L", "--check", "theorem7"]) == 2
         assert "fixed_points[0]: bundle 'L'" in capsys.readouterr().err
+
+    def test_canonical_bundle_off_the_edge_rejected(self):
+        # the charts meet the edge conditions, but K = -w1 - w2 at
+        # fixed_points[0] and [2] differs by [-2, -3], not a multiple of [0, 1]
+        bad = {"name": "bad-K", "fixed_points": [
+            {"w1": [1, 0], "w2": [0, 1]},
+            {"w1": [-1, 0], "w2": [1, 1]},
+            {"w1": [-1, -1], "w2": [0, -1]},
+        ]}
+        message = r"fixed_points\[0\]: bundle 'K' .* fixed_points\[2\] differ by \[-2, -3\]"
+        with pytest.raises(ValueError, match=message):
+            surface_from_json(json.dumps(bad))
 
     def test_bundle_off_by_half_an_edge_rejected(self):
         # the plane with s1 doubled loads; L then moved by half the edge

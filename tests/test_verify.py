@@ -100,7 +100,7 @@ class TestProductFormulaSide:
     def test_bundle_from_another_surface_rejected(self):
         S = surface_p2()
         M = line_bundle(surface_p1xp1(), [0, 0, 1, 0])
-        match = r"bundle 'O\(0,0,1,0\)' has 4 weights, but surface 'p2' has 3"
+        match = r"bundle 'O\(0,0,1,0\)' was made on surface 'p1xp1', but is used on surface 'p2'"
         with pytest.raises(ValueError, match=match):
             theorem7_rhs(S, M, 2)
         with pytest.raises(ValueError, match=match):
@@ -115,7 +115,7 @@ class TestProductFormulaSide:
         KK = intersect(S, K, K)
         for coeffs in product((-1, 0, 1), repeat=len(S.rays)):
             M = line_bundle(S, list(coeffs))
-            KmM = EquivariantLineBundle("K-M", tuple(k - m for k, m in zip(K.weights, M.weights)))
+            KmM = EquivariantLineBundle("K-M", tuple(k - m for k, m in zip(K.weights, M.weights)), S)
             KM, MM = intersect(S, K, M), intersect(S, M, M)
             assert intersect(S, K, KmM) == KK - KM, coeffs
             assert intersect(S, KmM, M) == KM - MM, coeffs
