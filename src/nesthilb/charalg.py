@@ -19,7 +19,7 @@ homogeneous of degree 0 in (s1, s2).  Only the Euler class is a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
@@ -204,3 +204,9 @@ def chern_useries(c: Character, x: int, y: int, cutoff: int, twist: int = 0) -> 
     for k in range(1, cutoff + 1):
         e[k] = sum(map(mul, reversed(e[:k]), q[1 : k + 1])) // k
     return USeries(e, cutoff)
+
+
+def top_chern_value(c: Character, x: int, y: int, twist: int = 0) -> int:
+    """The u^rank coefficient of ``chern_useries`` for an effective c: the
+    product of w'^mult; a vanishing w' = w(x, y) + twist gives 0, no pole."""
+    return prod((a * x + b * y + twist) ** m for (a, b), m in c.terms.items())

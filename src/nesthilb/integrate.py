@@ -13,7 +13,10 @@ summand is a product of local terms and a whole table is one product
 
 whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  "Total" factors are
 graded by u; each "top" or "index" factor by a variable of its own, so
-that its kept degree is selected globally.  Nothing here sums over
+that its kept degree is selected globally.  An effective Chern series
+stops at its rank, so if all factors are total and effective and their
+ranks add up to vdim (theorem7, zprod, the nested sides), each local
+term is read at its top degree, as one integer.  Nothing here sums over
 configurations: the configuration sum (``enumerate_configs``,
 ``_tangent_character``, ``_factor_character``) is the tests' brute-force
 oracle and the only user of ``substitute_chart``.  It stays in the
@@ -39,6 +42,7 @@ from operator import add, gt
 from typing import Callable, NamedTuple
 
 from .charalg import Character, Rational, USeries, Weight, chern_useries, euler_value
+from .charalg import top_chern_value
 from .charalg import substitute_chart  # the oracle's only, and bound for the benchmark trace
 from .errors import InvalidNesting
 from .fixedchar import (  # enumerate_configs: never called, bound for the benchmark trace
@@ -196,6 +200,7 @@ class _Grading(NamedTuple):
     n2: int
     ucut: int
     caps: tuple[int, ...]
+    top: bool  # every entry reads one integer: u^vdim at top degree
 
 
 def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
@@ -204,8 +209,16 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
     vdim is the signed rank of the tangent and a top factor's degree the
     signed rank of its character.  Every rank is linear in the sizes, so
     a local pair of sizes (a, b) has the rank of entry (a, b): both are
-    read off the first local pair of each key.
+    read off the first local pair of each key.  The table is read at top
+    degree if all factors are total and effective and their ranks add up
+    to vdim.
     """
+    if all(f.kind == "total" for f in spec.factors) and all(
+        sum(char.signed_rank() for char in terms[0][1]) == terms[0][0].signed_rank()
+        and all(m > 0 for _, chars in terms for char in chars for m in char.terms.values())
+        for terms in local.values()
+    ):
+        return _Grading(dict.fromkeys(local, ((), 0)), *max(local), 0, (), True)
     reads = {}
     for key, terms in local.items():
         tangent, chars = terms[0]
@@ -217,7 +230,7 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
         reads[key] = (degrees, tangent.signed_rank() - sum(degrees))
     caps = tuple(max(0, *ds) for ds in zip(*(d for d, _ in reads.values())))
     ucut = max(0, *(k for _, k in reads.values()))
-    return _Grading(reads, *max(local), ucut, caps)  # the largest key is (n1, n2)
+    return _Grading(reads, *max(local), ucut, caps, False)  # the largest key is (n1, n2)
 
 
 def _at_chart(char: Character, chart: FixedPointChart, twist: Weight) -> Character:
@@ -266,13 +279,19 @@ def _chart_grid(
 ) -> tuple[int, _Grid]:
     """Chart i's factor Z_p at (x, y) as an integer grid and its
     denominator: each local term at the projected point (X, Y) is its
-    factor Chern series divided by its tangent Euler value, all over one
-    common denominator."""
+    factor Chern series, or at top degree their top Chern values, divided
+    by its tangent Euler value, all over one common denominator."""
     ucut = grading.ucut
     X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
     twists = [_twist(f, i).value(x, y) for f in spec.factors]
     eulers = {key: [euler_value(t, X, Y) for t, _ in ts] for key, ts in local.items()}
     den = lcm(*(e.numerator for es in eulers.values() for e in es))
+    if grading.top:
+        return den, {key: {(): [sum(
+            den // e.numerator * e.denominator
+            * prod(top_chern_value(c, X, Y, t) for c, t in zip(chars, twists))
+            for (_, chars), e in zip(ts, eulers[key])
+        )]} for key, ts in local.items()}
     grid: _Grid = {}
     for key, ts in local.items():
         series: dict[tuple[int, ...], list[int]] = {}

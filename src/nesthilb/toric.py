@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .charalg import Rational, Weight
 from .errors import DependentChartWeights, SpecializationPole, WrongCoefficientCount
@@ -171,8 +172,9 @@ def trivial_bundle(S: ToricSurfaceDescriptor) -> EquivariantLineBundle:
     return EquivariantLineBundle("O", tuple(Weight(0, 0) for _ in S.charts), S)
 
 
+@cache
 def canonical_bundle(S: ToricSurfaceDescriptor) -> EquivariantLineBundle:
-    """Weight -w1 - w2 at each fixed point."""
+    """Weight -w1 - w2 at each fixed point; built and checked once per surface."""
     return EquivariantLineBundle("K", tuple(-(c.w1 + c.w2) for c in S.charts), S)
 
 

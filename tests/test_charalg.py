@@ -12,6 +12,7 @@ from nesthilb.charalg import (
     chern_useries,
     euler_value,
     substitute_chart,
+    top_chern_value,
 )
 from nesthilb.errors import DependentChartWeights, SpecializationPole, ZeroWeightInTangent
 
@@ -190,6 +191,22 @@ class TestChernSeries:
         r = c.signed_rank()
         s = chern_useries(c, x, y, r)
         assert s.coeffs[r] == euler_value(c, x, y)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 3), max_size=5
+        ).map(Character),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_top_chern_value_is_the_top_coefficient(self, c, x, y, twist):
+        # for an effective c the series stops at the rank; a vanishing
+        # twisted weight is a zero there, not a pole
+        r = c.signed_rank()
+        top = top_chern_value(c, x, y, twist)
+        assert chern_useries(c, x, y, r + 2, twist).coeffs[r:] == [top, 0, 0]
 
     def test_rational_point_rejected(self):
         # floor division on a Fraction would give a silently wrong series

@@ -8,7 +8,9 @@ every global configuration of ``enumerate_configs`` at rational points.
 It shares only the character formulas with the engine, which multiplies
 one local factor per fixed point instead.  case3's class counts are
 checked the same way, against the classes of every enumerated
-configuration's tangent.
+configuration's tangent.  The top-degree read of all-total effective
+integrands is checked against the series path of the same integrand
+times c_0 = 1.
 
 The character formulas, which the engine reads off arm and leg lengths,
 are checked against the Koszul formulas: ring products of box characters,
@@ -17,6 +19,7 @@ their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from nesthilb.integrate import (
     IntegrandSpec,
     _at_chart,
     _chart_grid,
+    _evaluate,
     _factor_character,
     _grading,
     _local_terms,
@@ -254,15 +258,18 @@ README_DESCRIPTOR = (
 )
 
 
+SURFACES_AND_BUNDLES = (
+    (surface_p2(), line_bundle(surface_p2(), [0, 0, 1])),
+    (surface_p1xp1(), line_bundle(surface_p1xp1(), [0, 0, 1, 1])),
+    (surface_hirzebruch(2), line_bundle(surface_hirzebruch(2), [0, 0, 1, 0])),
+    (surface_from_json(README_DESCRIPTOR), surface_from_json(README_DESCRIPTOR).bundle("L")),
+)
+
+
 def _table_cases():
     """One call at (2, 2), or (2, 0) for the single Hilbert scheme, read at every entry."""
     out = []
-    for S, M in (
-        (surface_p2(), line_bundle(surface_p2(), [0, 0, 1])),
-        (surface_p1xp1(), line_bundle(surface_p1xp1(), [0, 0, 1, 1])),
-        (surface_hirzebruch(2), line_bundle(surface_hirzebruch(2), [0, 0, 1, 0])),
-        (surface_from_json(README_DESCRIPTOR), surface_from_json(README_DESCRIPTOR).bundle("L")),
-    ):
+    for S, M in SURFACES_AND_BUNDLES:
         K = canonical_bundle(S)
         specs = {
             "nested-total": IntegrandSpec("nested", (total_chern_em(M),)),
@@ -317,6 +324,112 @@ def test_rational_point_and_scaled_integer_point_give_the_same_summand(mode):
             assert slow == reference_summand(tangent, fs, Fraction(X), Fraction(Y))
             den, grid = _chart_grid({key: [term]}, S, i, X, Y, spec, grading)
             assert Fraction(_read(grid, key, grading), den) == slow
+
+
+# every all-total spec whose factors are effective and fill vdim, with its
+# sizes: these are read at top degree
+TOP_DEGREE_SPECS = {
+    # theorem7's spec is also theorem5's nested side
+    "theorem7": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 3, 3),
+    "case2-nested": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 3, 0),
+    "zprod": lambda M: (IntegrandSpec("product", (total_chern_em(), total_chern_em(M))), 3, 3),
+    "nested-em_rev": lambda M: (IntegrandSpec("nested", (total_chern_em_rev(M),)), 3, 3),
+    "product-em-em_rev": lambda M: (
+        IntegrandSpec("product", (total_chern_em(M), total_chern_em_rev())), 3, 3
+    ),
+    "hilb-tangent": lambda M: (IntegrandSpec("product", (total_chern_tangent(),)), 3, 0),
+    "product-tangents": lambda M: (
+        IntegrandSpec("product", (total_chern_tangent(1), total_chern_twisted_tangent(M, 2))), 3, 3
+    ),
+}
+
+
+def with_unit_index(spec):
+    """``spec`` times c_0 = 1: the same integrand, but an index factor
+    sends it down the u/v series path."""
+    return replace(spec, factors=spec.factors + (chern_index_em(0),))
+
+
+def is_top(spec, n1, n2):
+    return _grading(spec, _local_terms(spec, n1, n2)).top
+
+
+class TestTopDegreeRead:
+    @pytest.mark.parametrize("label", TOP_DEGREE_SPECS)
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_matches_the_series_path(self, S, M, label):
+        spec, n1, n2 = TOP_DEGREE_SPECS[label](M)
+        series = with_unit_index(spec)
+        assert is_top(spec, n1, n2) and not is_top(series, n1, n2)
+        fast, slow = integrate(S, n1, n2, spec), integrate(S, n1, n2, series)
+        assert fast.values == slow.values
+        assert fast.config_counts == slow.config_counts
+
+    def test_vanishing_factor_weight_is_a_zero_not_a_pole(self):
+        # at (1, 4) chart 1 of p2 projects to (X, Y) = (3, -1) and M's
+        # twist there is 1, so the weight (-1, -2) of the local em class
+        # at sizes (2, 0) gives -3 + 2 + 1 = 0; no tangent weight vanishes
+        S, M = SURFACES_AND_BUNDLES[0]
+        spec, _, _ = TOP_DEGREE_SPECS["theorem7"](M)
+        x, y = 1, 4
+        local = _local_terms(spec, 2, 2)
+        weights = {
+            a * chart.w1.value(x, y) + b * chart.w2.value(x, y) + _twist(f, i).value(x, y)
+            for i, chart in enumerate(S.charts)
+            for terms in local.values()
+            for _, chars in terms
+            for char, f in zip(chars, spec.factors)
+            for a, b in char.terms
+        }
+        assert 0 in weights
+        series = with_unit_index(spec)
+        series_local = _local_terms(series, 2, 2)
+        fast = _evaluate(local, S, x, y, spec, _grading(spec, local))
+        slow = _evaluate(series_local, S, x, y, series, _grading(series, series_local))
+        assert fast == slow == integrate(S, 2, 2, spec).values
+
+    @pytest.mark.parametrize(
+        "spec,top",
+        [
+            (TOP_DEGREE_SPECS["theorem7"](None)[0], True),  # and theorem5's nested side
+            (TOP_DEGREE_SPECS["zprod"](None)[0], True),
+            (IntegrandSpec("product", (total_chern_em(), top_chern_em())), False),
+            (IntegrandSpec("nested", (total_chern_em(), chern_index_em(1))), False),
+            (IntegrandSpec("product", (total_chern_em(), top_chern_taut(None))), False),
+            # ranks 2(n1 + n2) overshoot vdim n1 + n2
+            (IntegrandSpec("nested", (total_chern_em(), total_chern_em())), False),
+            # no factor: rank 0 falls short of vdim
+            (IntegrandSpec("nested"), False),
+        ],
+        ids=["theorem7", "zprod", "top", "index", "taut-top", "overshoot", "empty"],
+    )
+    def test_decision(self, spec, top):
+        assert is_top(spec, 3, 2) is top
+        assert is_top(spec, 3, 0) is top  # case2's nested side, the single Hilbert scheme
+        if not top:
+            S = surface_p2()
+            for (a, b), value in integrate(S, 2, 1, spec).values.items():
+                assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+
+    def test_decision_needs_effective_factors(self, monkeypatch):
+        # the nested scheme's virtual tangent as the factor: all total and
+        # of rank vdim, but with negative multiplicities, so its Chern
+        # series runs past its rank and a top read would count
+        # configurations instead
+        def virtual_tangent(Z1, Z2, f):
+            return nested_tangent_char(Z1, Z2)
+
+        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "_local_factor", virtual_tangent)
+        S, spec = surface_p2(), IntegrandSpec("nested", (total_chern_em(),))
+        local = _local_terms(spec, 3, 1)
+        assert any(m < 0 for terms in local.values() for _, (c,) in terms for m in c.terms.values())
+        assert not is_top(spec, 3, 1)
+        res = integrate(S, 3, 1, spec)
+        assert res.values != {key: Fraction(n) for key, n in res.config_counts.items()}
+        for (a, b), value in res.values.items():
+            assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
 
 
 def oracle_classes(S, n):

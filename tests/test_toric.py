@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nesthilb import toric
 from nesthilb.charalg import Weight
 from nesthilb.cli import main
 from nesthilb.errors import WrongCoefficientCount
@@ -19,6 +20,7 @@ from nesthilb.toric import (
     surface_p2,
     trivial_bundle,
 )
+from nesthilb.verify import case2_check, theorem7_check
 
 
 class TestBuiltinSurfaces:
@@ -56,6 +58,19 @@ class TestLineBundles:
             K = canonical_bundle(S)
             for chart, w in zip(S.charts, K.weights):
                 assert w == -(chart.w1 + chart.w2)
+
+    def test_canonical_bundle_built_once_per_surface(self, monkeypatch):
+        # K is made, and checked, once per surface; equal surfaces share it
+        S = surface_hirzebruch(2)
+        M = line_bundle(S, [0, 0, 1, 0])
+        K = canonical_bundle(S)
+        runs = []
+        check_edges = toric._check_edges
+        monkeypatch.setattr(toric, "_check_edges", lambda *a: runs.append(a) or check_edges(*a))
+        assert canonical_bundle(surface_hirzebruch(2)) is K
+        theorem7_check(S, M, 1)
+        case2_check(S, M, 1)
+        assert runs == []
 
     def test_canonical_agrees_with_divisor_recipe(self):
         S = surface_p2()

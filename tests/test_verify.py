@@ -146,6 +146,16 @@ class TestReachOfTheVertexProduct:
         assert lhs.values == theorem7_rhs(S, M, 6)
         assert len(lhs.values) == 28
 
+    @pytest.mark.parametrize(
+        "make,coeffs", [(surface_p2, [0, 0, 1]), (surface_p1xp1, [0, 0, 1, 1])]
+    )
+    def test_theorem7_check_passes_at_nmax_8(self, make, coeffs):
+        # the top-degree read keeps nmax-8 tables to a fraction of a second
+        S = make()
+        report = theorem7_check(S, line_bundle(S, coeffs), 8)
+        assert report.passed
+        assert len(report.entries) == 45
+
 
 class TestNestedVsProduct:
     def test_trivial_case(self):
