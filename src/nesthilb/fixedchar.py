@@ -11,11 +11,16 @@ effective of rank n1 + n2 by construction.  Z1 is the outer partition
 (size n1), Z2 the inner (size n2), and the Hilbert tangent is
 em_char(Z, Z): the nested tangent T1 + T2 - Ext(Z1, Z2) reduces to it at
 Z1 = Z2 and has signed rank n1 + n2.
+
+Each character is built in one dict: the row and column lengths of each
+argument are counted once, and the nested tangent is one signed
+accumulation em(Z1, Z1) + em(Z2, Z2) - em(Z1, Z2).  The order of the
+arguments matters: em(Z2, Z1) in place of em(Z1, Z2) is wrong on most
+nested pairs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -28,7 +33,8 @@ from .toric import ToricSurfaceDescriptor
 
 def nested_tangent_char(Z1: Character, Z2: Character) -> Character:
     """Virtual tangent character of the nested scheme at one chart."""
-    return em_char(Z1, Z1) + em_char(Z2, Z2) - em_char(Z1, Z2)
+    one, two = _with_lengths(Z1), _with_lengths(Z2)
+    return _signed_em((1, one, one), (1, two, two), (-1, one, two))
 
 
 def hilb_tangent_char(Z: Character) -> Character:
@@ -39,12 +45,30 @@ def hilb_tangent_char(Z: Character) -> Character:
 def em_char(Z1: Character, Z2: Character) -> Character:
     """Local character of the virtual extension class of rank n1 + n2:
     one term per box of Z1 and of Z2 (see the module docstring)."""
-    row1, col1 = Counter(j for _, j in Z1.terms), Counter(i for i, _ in Z1.terms)
-    row2, col2 = Counter(j for _, j in Z2.terms), Counter(i for i, _ in Z2.terms)
-    return Character(Counter(
-        [(i - row1[j], col2[i] - j - 1) for i, j in Z1.terms]
-        + [(row2[j] - i - 1, j - col1[i]) for i, j in Z2.terms]
-    ))
+    return _signed_em((1, _with_lengths(Z1), _with_lengths(Z2)))
+
+
+def _with_lengths(Z: Character) -> tuple[dict, dict[int, int], dict[int, int]]:
+    """The boxes of Z with its row lengths by j and column lengths by i."""
+    rows, cols = {}, {}
+    for i, j in Z.terms:
+        rows[j] = rows.get(j, 0) + 1
+        cols[i] = cols.get(i, 0) + 1
+    return Z.terms, rows, cols
+
+
+def _signed_em(*terms) -> Character:
+    """The sum of sign * em(Z1, Z2) over the (sign, Z1, Z2) in ``terms``,
+    each Z given by ``_with_lengths``, added up in one dict."""
+    out: dict[tuple[int, int], int] = {}
+    for sign, (boxes1, row1, col1), (boxes2, row2, col2) in terms:
+        for i, j in boxes1:
+            k = (i - row1[j], col2.get(i, 0) - j - 1)
+            out[k] = out.get(k, 0) + sign
+        for i, j in boxes2:
+            k = (row2[j] - i - 1, j - col1.get(i, 0))
+            out[k] = out.get(k, 0) + sign
+    return Character(out)
 
 
 @dataclass(frozen=True)

@@ -78,14 +78,10 @@ def nested_pairs(n1: int, n2: int) -> list[NestedPair]:
     """All pairs (mu1 of n1, mu2 of n2) with mu2 boxwise inside mu1."""
     if n2 < 0 or n1 < n2:
         raise InvalidNesting(f"need n1 >= n2 >= 0, got ({n1}, {n2})")
-    return [
-        NestedPair(mu1, mu2)
-        for mu1 in partitions_of(n1)
-        for mu2 in partitions_of(n2)
-        if mu1.contains(mu2)
-    ]
+    inner = partitions_of(n2)
+    return [NestedPair(mu1, mu2) for mu1 in partitions_of(n1) for mu2 in inner if mu1.contains(mu2)]
 
 
 def box_char(mu: Partition) -> Character:
     """Sum of t1^i t2^j over the boxes of mu."""
-    return Character({box: 1 for box in mu.boxes()})
+    return Character({(i, j): 1 for j, part in enumerate(mu.parts) for i in range(part)})

@@ -104,6 +104,18 @@ class TestNestedPairs:
         for n in range(7):
             assert len(nested_pairs(n, 0)) == len(partitions_of(n))
 
+    def test_order_is_the_filtered_product(self):
+        # case3's witness of a tangent class is its first pair in this order
+        for n1 in range(9):
+            for n2 in range(n1 + 1):
+                expected = [
+                    (mu1, mu2)
+                    for mu1 in partitions_of(n1)
+                    for mu2 in partitions_of(n2)
+                    if mu1.contains(mu2)
+                ]
+                assert [(p.outer, p.inner) for p in nested_pairs(n1, n2)] == expected
+
     def test_invalid_nesting_raises(self):
         with pytest.raises(InvalidNesting):
             nested_pairs(1, 2)
@@ -134,6 +146,11 @@ class TestBoxChar:
         for n in range(9):
             for mu in partitions_of(n):
                 assert box_char(mu).signed_rank() == n
+
+    def test_one_term_per_box(self):
+        for n in range(9):
+            for mu in partitions_of(n):
+                assert box_char(mu).terms == {box: 1 for box in mu.boxes()}
 
     @given(st.integers(0, 8))
     def test_box_multiplicities_are_one(self, n):

@@ -57,7 +57,7 @@ from nesthilb.integrate import (
     total_chern_tangent,
     total_chern_twisted_tangent,
 )
-from nesthilb.partitions import Partition, box_char, partitions_of
+from nesthilb.partitions import Partition, box_char, nested_pairs, partitions_of
 from nesthilb.toric import (
     canonical_bundle,
     line_bundle,
@@ -220,6 +220,21 @@ class TestArmLegAgainstKoszul:
     def test_nested_tangent_char_on_nested_pairs(self, pair):
         Z1, Z2 = box_char(pair[0]), box_char(pair[1])
         assert nested_tangent_char(Z1, Z2) == koszul_nested_tangent(Z1, Z2)
+
+    def test_nested_tangent_char_on_every_case3_nmax_7_pair(self):
+        # case3 --nmax 7 builds the local tangent of (a, b) <= (8, 7), b <= a
+        pairs = [pr for a in range(9) for b in range(min(a, 7) + 1) for pr in nested_pairs(a, b)]
+        assert len(pairs) == 840
+        for pr in pairs:
+            Z1, Z2 = box_char(pr.outer), box_char(pr.inner)
+            assert nested_tangent_char(Z1, Z2) == koszul_nested_tangent(Z1, Z2), pr
+
+    def test_em_and_hilb_tangent_on_every_pair_up_to_size_6(self):
+        chars = [box_char(mu) for n in range(7) for mu in partitions_of(n)]
+        for Z1 in chars:
+            assert hilb_tangent_char(Z1) == koszul_hilb_tangent(Z1), Z1
+            for Z2 in chars:
+                assert em_char(Z1, Z2) == koszul_em(Z1, Z2), (Z1, Z2)
 
 
 def _entry_cases():
