@@ -14,9 +14,12 @@ summand is a product of local terms and a whole table is one product
 whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  "Total" factors are
 graded by u; each "top" or "index" factor by a variable of its own, so
 that its kept degree is selected globally.  An effective Chern series
-stops at its rank, so if all factors are total and effective and their
-ranks add up to vdim (theorem7, zprod, the nested sides), each local
-term is read at its top degree, as one integer.  Nothing here sums over
+stops at its rank.  So an effective top factor (theorem5's product side,
+case2's Hilbert side) is read at its rank: one value per local term, its
+top Chern value; only index and virtual top factors expand a series in
+their variable.  If all factors are total and effective and their ranks
+add up to vdim (theorem7, zprod, the nested sides), each local term is
+read at its top degree, as one integer.  Nothing here sums over
 configurations: the configuration sum (``enumerate_configs``,
 ``_tangent_character``, ``_factor_character``) is the tests' brute-force
 oracle and the only user of ``substitute_chart``.  It stays in the
@@ -192,7 +195,8 @@ class _Grading(NamedTuple):
 
     Total factors are graded by u; each top or index factor by its own
     variable v_j, kept up to caps[j].  Entry (a, b) reads v^degrees u^k
-    with k = vdim(a, b) - sum(degrees); a negative k reads 0.
+    with k = vdim(a, b) - sum(degrees); a negative k reads 0.  A factor
+    flagged in at_rank adds only its rank to v_j on each local term.
     """
 
     reads: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # by entry, in order
@@ -201,6 +205,7 @@ class _Grading(NamedTuple):
     ucut: int
     caps: tuple[int, ...]
     top: bool  # every entry reads one integer: u^vdim at top degree
+    at_rank: tuple[bool, ...]  # per factor: an effective top factor, read at its rank
 
 
 def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
@@ -211,14 +216,20 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
     a local pair of sizes (a, b) has the rank of entry (a, b): both are
     read off the first local pair of each key.  The table is read at top
     degree if all factors are total and effective and their ranks add up
-    to vdim.
+    to vdim.  A top factor whose local characters are all effective is
+    read at its rank on every local term, whatever the other factors are:
+    its series stops there, and entries read the sum of those ranks.
     """
-    if all(f.kind == "total" for f in spec.factors) and all(
+    effective = [
+        all(m > 0 for ts in local.values() for _, chars in ts for m in chars[j].terms.values())
+        for j in range(len(spec.factors))
+    ]
+    at_rank = tuple(f.kind == "top" and e for f, e in zip(spec.factors, effective))
+    if all(f.kind == "total" for f in spec.factors) and all(effective) and all(
         sum(char.signed_rank() for char in terms[0][1]) == terms[0][0].signed_rank()
-        and all(m > 0 for _, chars in terms for char in chars for m in char.terms.values())
         for terms in local.values()
     ):
-        return _Grading(dict.fromkeys(local, ((), 0)), *max(local), 0, (), True)
+        return _Grading(dict.fromkeys(local, ((), 0)), *max(local), 0, (), True, at_rank)
     reads = {}
     for key, terms in local.items():
         tangent, chars = terms[0]
@@ -230,7 +241,7 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
         reads[key] = (degrees, tangent.signed_rank() - sum(degrees))
     caps = tuple(max(0, *ds) for ds in zip(*(d for d, _ in reads.values())))
     ucut = max(0, *(k for _, k in reads.values()))
-    return _Grading(reads, *max(local), ucut, caps, False)  # the largest key is (n1, n2)
+    return _Grading(reads, *max(local), ucut, caps, False, at_rank)  # largest key: (n1, n2)
 
 
 def _at_chart(char: Character, chart: FixedPointChart, twist: Weight) -> Character:
@@ -279,8 +290,9 @@ def _chart_grid(
 ) -> tuple[int, _Grid]:
     """Chart i's factor Z_p at (x, y) as an integer grid and its
     denominator: each local term at the projected point (X, Y) is its
-    factor Chern series, or at top degree their top Chern values, divided
-    by its tangent Euler value, all over one common denominator."""
+    factor Chern series (an at_rank factor's top Chern value, at v-degree
+    its rank), or at top degree their top Chern values, divided by its
+    tangent Euler value, all over one common denominator."""
     ucut = grading.ucut
     X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
     twists = [_twist(f, i).value(x, y) for f in spec.factors]
@@ -299,9 +311,12 @@ def _chart_grid(
             u = USeries.one(ucut)
             parts = [((), den // e.numerator * e.denominator)]
             caps = iter(grading.caps)
-            for char, f, twist in zip(chars, spec.factors, twists):
+            for char, f, twist, at_rank in zip(chars, spec.factors, twists, grading.at_rank):
                 if f.kind == "total":
                     u = u * chern_useries(char, X, Y, ucut, twist)
+                elif at_rank:
+                    c_top = top_chern_value(char, X, Y, twist)
+                    parts = [(d + (char.signed_rank(),), c * c_top) for d, c in parts if c_top]
                 else:
                     cs = chern_useries(char, X, Y, next(caps), twist).coeffs
                     parts = [(d + (j,), c * cj) for d, c in parts for j, cj in enumerate(cs) if cj]

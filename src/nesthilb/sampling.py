@@ -36,7 +36,8 @@ def certified_value(
 ) -> tuple[V, tuple[Point, ...]]:
     """The common value of ``evaluate`` at npoints pole-free draws, and the
     points used.  A draw that hits a SpecializationPole is replaced, up to
-    MAX_REDRAWS draws per point; values that differ raise NonConstantSum,
+    MAX_REDRAWS draws per point; SpecializationExhausted names the last
+    point drawn and its pole.  Values that differ raise NonConstantSum,
     which for a table (a dict of values) names the first entry that differs.
     """
     values: list[V] = []
@@ -46,13 +47,14 @@ def certified_value(
             point = draw()
             try:
                 values.append(evaluate(*point))
-            except SpecializationPole:
+            except SpecializationPole as pole:
+                last = f"{point} ({pole})"
                 continue
             points.append(point)
             break
         else:
             raise SpecializationExhausted(
-                f"no pole-free specialization in {MAX_REDRAWS} draws on {where}"
+                f"no pole-free specialization in {MAX_REDRAWS} draws on {where}; last point {last}"
             )
     if any(v != values[0] for v in values[1:]):
         if isinstance(values[0], dict):  # a table: name its first entry that moved

@@ -31,9 +31,10 @@ def test_poles_on_every_draw_exhaust():
         calls.append(1)
         return 0, 1
 
-    with pytest.raises(SpecializationExhausted, match=r"p2 \(2, 1, nested\)"):
+    with pytest.raises(SpecializationExhausted, match=r"p2 \(2, 1, nested\)") as info:
         certified_value(pole_at_zero, draw, 3, WHERE)
     assert len(calls) == MAX_REDRAWS
+    assert "last point (0, 1) (pole at (0, 1))" in str(info.value)
 
 
 def test_non_constant_values_are_listed_with_their_points():

@@ -10,7 +10,8 @@ one local factor per fixed point instead.  case3's class counts are
 checked the same way, against the classes of every enumerated
 configuration's tangent.  The top-degree read of all-total effective
 integrands is checked against the series path of the same integrand
-times c_0 = 1.
+times c_0 = 1, and the rank read of an effective top factor against the
+same local terms with that factor on its v series.
 
 The character formulas, which the engine reads off arm and leg lengths,
 are checked against the Koszul formulas: ring products of box characters,
@@ -444,6 +445,115 @@ class TestTopDegreeRead:
         res = integrate(S, 3, 1, spec)
         assert res.values != {key: Fraction(n) for key, n in res.config_counts.items()}
         for (a, b), value in res.values.items():
+            assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+
+
+# every spec with an effective top factor, with its sizes: the top factor
+# is read at its rank, the other factors keep their series
+AT_RANK_SPECS = {
+    # theorem5's product side
+    "product-total-top": lambda M, K: (
+        IntegrandSpec("product", (total_chern_em(M), top_chern_em())), 2, 2
+    ),
+    # case2's Hilbert side
+    "hilb-taut-top": lambda M, K: (
+        IntegrandSpec("product", (total_chern_em(M), top_chern_taut(K))), 3, 0
+    ),
+    "product-tangent-taut": lambda M, K: (
+        IntegrandSpec(
+            "product", (total_chern_twisted_tangent(M, slot=2), top_chern_taut(K, slot=2))
+        ),
+        2,
+        2,
+    ),
+    "nested-top": lambda M, K: (IntegrandSpec("nested", (top_chern_em(M),)), 2, 2),
+}
+
+
+def on_the_v_series(grading):
+    """``grading`` with the per-factor rank read cleared: every top factor
+    expands its Chern series in its own variable."""
+    return grading._replace(at_rank=(False,) * len(grading.at_rank))
+
+
+class TestTopFactorAtRank:
+    @pytest.mark.parametrize("label", AT_RANK_SPECS)
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_matches_the_v_series_and_the_oracle(self, S, M, label):
+        spec, n1, n2 = AT_RANK_SPECS[label](M, canonical_bundle(S))
+        local = _local_terms(spec, n1, n2)
+        grading = _grading(spec, local)
+        assert grading.at_rank == tuple(f.kind == "top" for f in spec.factors)
+        assert not grading.top
+        res = integrate(S, n1, n2, spec)
+        for x, y in res.specializations:
+            fast = _evaluate(local, S, x, y, spec, grading)
+            assert fast == _evaluate(local, S, x, y, spec, on_the_v_series(grading))
+            assert fast == res.values
+        for (a, b), value in res.values.items():
+            assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+
+    def test_vanishing_top_weight_is_a_zero_not_a_pole(self):
+        # at (1, 4) chart 1 of p2 projects to (X, Y) = (3, -1) and M's
+        # twist there is 1, so the weight (-1, -2) of the local em class
+        # at sizes (2, 0) gives -3 + 2 + 1 = 0; no tangent weight vanishes
+        S, M = SURFACES_AND_BUNDLES[0]
+        spec, n1, n2 = AT_RANK_SPECS["nested-top"](M, None)
+        x, y, i = 1, 4, 1
+        X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
+        twist = _twist(spec.factors[0], i).value(x, y)
+        local = _local_terms(spec, n1, n2)
+        [(key, term)] = [
+            (key, term)
+            for key, terms in local.items()
+            for term in terms
+            if any(a * X + b * Y + twist == 0 for a, b in term[1][0].terms)
+        ]
+        assert key == (2, 0)
+        grading = _grading(spec, local)
+        assert grading.at_rank == (True,)
+        for g in (grading, on_the_v_series(grading)):
+            _, grid = _chart_grid({key: [term]}, S, i, x, y, spec, g)
+            assert _read(grid, key, g) == 0
+        fast = _evaluate(local, S, x, y, spec, grading)
+        assert fast == _evaluate(local, S, x, y, spec, on_the_v_series(grading))
+        assert fast == integrate(S, n1, n2, spec).values
+
+    @pytest.mark.parametrize(
+        "spec,at_rank",
+        [
+            (IntegrandSpec("product", (total_chern_em(), top_chern_em())), (False, True)),
+            (IntegrandSpec("product", (total_chern_em(), top_chern_taut(None))), (False, True)),
+            (IntegrandSpec("nested", (top_chern_em(),)), (True,)),
+            (
+                IntegrandSpec("product", (chern_index_em(2), total_chern_em_rev(), top_chern_em())),
+                (False, False, True),
+            ),
+            (IntegrandSpec("nested", (total_chern_em(), chern_index_em(1))), (False, False)),
+            # read at top degree as a whole, so no factor is at rank
+            (TOP_DEGREE_SPECS["theorem7"](None)[0], (False,)),
+        ],
+        ids=["em", "taut", "nested-em", "index-total-top", "index", "all-total"],
+    )
+    def test_decision(self, spec, at_rank):
+        for n1, n2 in ((3, 2), (3, 0)):
+            assert _grading(spec, _local_terms(spec, n1, n2)).at_rank == at_rank
+
+    def test_virtual_top_factor_keeps_the_v_series(self, monkeypatch):
+        # the nested scheme's virtual tangent as a top factor: its Chern
+        # series runs past its rank, so reading one value at the rank
+        # would drop the terms of the other degrees
+        def virtual_tangent(Z1, Z2, f):
+            return nested_tangent_char(Z1, Z2)
+
+        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "_local_factor", virtual_tangent)
+        S, spec = surface_p2(), IntegrandSpec("nested", (top_chern_em(),))
+        local = _local_terms(spec, 3, 1)
+        assert any(m < 0 for terms in local.values() for _, (c,) in terms for m in c.terms.values())
+        assert _grading(spec, local).at_rank == (False,)
+        for (a, b), value in integrate(S, 3, 1, spec).values.items():
             assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
 
 

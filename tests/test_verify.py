@@ -156,6 +156,17 @@ class TestReachOfTheVertexProduct:
         assert report.passed
         assert len(report.entries) == 45
 
+    @pytest.mark.parametrize(
+        "make,coeffs", [(surface_p2, [0, 0, 1]), (surface_p1xp1, [0, 0, 1, 0])]
+    )
+    def test_theorem5_check_passes_at_5_5(self, make, coeffs):
+        # the product side reads its top Chern factor at its rank, one
+        # value per local term, so (5, 5) takes a fraction of a second
+        S = make()
+        report = theorem5_check(S, line_bundle(S, coeffs), 5, 5)
+        assert report.passed and not report.informational
+        assert [(n1, n2) for n1, n2, _, _ in report.entries] == [(5, 5)]
+
 
 class TestNestedVsProduct:
     def test_trivial_case(self):
