@@ -23,7 +23,7 @@ from math import comb, prod
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DependentChartWeights, SpecializationPole, ZeroWeightInTangent
+from .errors import DependentChartWeights, SpecializationPole, VirtualCharacter, ZeroWeightInTangent
 
 Rational = Fraction
 
@@ -208,5 +208,13 @@ def chern_useries(c: Character, x: int, y: int, cutoff: int, twist: int = 0) -> 
 
 def top_chern_value(c: Character, x: int, y: int, twist: int = 0) -> int:
     """The u^rank coefficient of ``chern_useries`` for an effective c: the
-    product of w'^mult; a vanishing w' = w(x, y) + twist gives 0, no pole."""
-    return prod((a * x + b * y + twist) ** m for (a, b), m in c.terms.items())
+    product of w'^mult; a vanishing w' = w(x, y) + twist gives 0, no pole.
+    A virtual c has no such value and raises ``VirtualCharacter``."""
+    try:
+        value = prod((a * x + b * y + twist) ** m for (a, b), m in c.terms.items())
+    except ZeroDivisionError:  # 0 ** m with m < 0
+        value = None
+    if type(value) is not int:  # v ** m with m < 0 is a float
+        negative = {w: m for w, m in c.terms.items() if m < 0}
+        raise VirtualCharacter(f"top Chern value of a virtual character: multiplicities {negative}")
+    return value

@@ -21,6 +21,10 @@ class ZeroWeightInTangent(NestHilbError):
     """
 
 
+class VirtualCharacter(NestHilbError):
+    """A character with a negative multiplicity where an effective one is needed."""
+
+
 class InconsistentTangent(NestHilbError):
     """A fixed-point tangent character has the wrong signed rank or
     contains the zero weight."""

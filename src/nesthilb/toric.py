@@ -1,8 +1,9 @@
 """Torus data of target surfaces.
 
-Built-in surfaces (projective plane, quadric, Hirzebruch) are generated
-from their fans; custom surfaces come from a JSON descriptor listing
-fixed points with chart weights and per-fixed-point bundle weights.
+A surface is its fixed points' chart weights; its GKM graph (``_edges``),
+bundle checks and Fano-ness are read from them alone.  Built-in surfaces
+come from their fans (projective plane, quadric, Hirzebruch), custom ones
+from a JSON descriptor of chart and bundle weights per fixed point.
 
 Conventions, pinned by the calibration tests: chart weights w1, w2 are
 the torus weights of the two local coordinate functions (the dual basis
@@ -45,7 +46,7 @@ class FixedPointChart:
 @dataclass(frozen=True)
 class EquivariantLineBundle:
     """A line bundle on ``surface``, given by its fiber weight at each fixed
-    point; checked against the surface's GKM conditions once, when made."""
+    point; checked once, when made, across every GKM edge (``_check_edges``)."""
 
     label: str
     weights: tuple[Weight, ...]
@@ -66,8 +67,8 @@ class EquivariantLineBundle:
 class ToricSurfaceDescriptor:
     name: str
     charts: tuple[FixedPointChart, ...]
-    # fan data, counterclockwise; chart i is the cone of rays i, i+1.
-    # None for file-based descriptors
+    # fan rays, counterclockwise, for ``line_bundle`` only; chart i is the
+    # cone of rays i, i+1.  None for file-based descriptors
     rays: tuple[tuple[int, int], ...] | None = None
     named_bundles: tuple[tuple[str, tuple[Weight, ...]], ...] = ()
 
@@ -81,15 +82,8 @@ class ToricSurfaceDescriptor:
 
     @property
     def fano(self) -> bool:
-        """Every toric divisor has D_i^2 >= -1, read off the fan.
-
-        With counterclockwise smooth rays D_i^2 = -det(v_{i-1}, v_{i+1}).
-        False for surfaces without a fan.
-        """
-        if self.rays is None:
-            return False
-        n = len(self.rays)
-        return all(_det(self.rays[i - 1], self.rays[(i + 1) % n]) <= 1 for i in range(n))
+        """Every invariant curve (toric divisor) has self-intersection >= -1."""
+        return all(m >= -1 for *_, m in _edges(self.charts))
 
     def bundle(self, label: str) -> EquivariantLineBundle:
         if label == "O":
@@ -151,13 +145,9 @@ def surface_hirzebruch(a: int) -> ToricSurfaceDescriptor:
 def line_bundle(S: ToricSurfaceDescriptor, divisor_coeffs: list[int]) -> EquivariantLineBundle:
     """Equivariant O(D) for D = sum a_i D_i over the fan rays of S."""
     if S.rays is None:
-        raise WrongCoefficientCount(
-            f"surface {S.name!r} has no fan data; use a named bundle"
-        )
+        raise WrongCoefficientCount(f"surface {S.name!r} has no fan data; use a named bundle")
     if len(divisor_coeffs) != len(S.rays):
-        raise WrongCoefficientCount(
-            f"expected {len(S.rays)} coefficients, got {len(divisor_coeffs)}"
-        )
+        raise WrongCoefficientCount(f"expected {len(S.rays)} coefficients, got {len(divisor_coeffs)}")
     rays = S.rays
     a = [_require_int(c, f"divisor coefficient {i}") for i, c in enumerate(divisor_coeffs)]
     weights = tuple(  # at chart i, the cone of rays i, i+1
@@ -231,7 +221,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
                                   "bundles": { "<label>": [a,b] } } ] }
     Integers only; floats are rejected.  Pairings are always computed by
     localization, so an "intersections" table is rejected.  Chart and
-    bundle weights, K's included, must satisfy the GKM conditions (``_check_edges``).
+    bundle weights must satisfy the GKM conditions (``_check_edges``); K's
+    then do too.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -249,8 +240,7 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
         raise ValueError("surface descriptor needs >= 3 fixed_points")
 
     charts = []
-    labels: list[str] | None = None
-    per_label: dict[str, list[Weight]] = {}
+    per_label: dict[str, list[Weight]] = {}  # in sorted label order, set by fixed_points[0]
     for k, pt in enumerate(points):
         where = f"fixed_points[{k}]"
         if not isinstance(pt, dict):
@@ -266,15 +256,13 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
             raise ValueError(f"{where}.bundles must be an object")
         if reserved := sorted({"O", "K"} & bundles.keys()):  # ``bundle`` returns the built-ins
             raise ValueError(f"{where}.bundles: label {reserved[0]!r} is reserved for a built-in")
-        if labels is None:
-            labels = sorted(bundles)
-            per_label = {lab: [] for lab in labels}
-        elif sorted(bundles) != labels:
+        if k and sorted(bundles) != list(per_label):
             raise ValueError(f"{where}: bundle labels differ between fixed points")
-        for lab in labels:
-            per_label[lab].append(_parse_weight(bundles[lab], f"{where}.bundles[{lab}]"))
+        for lab in sorted(bundles):
+            weight = _parse_weight(bundles[lab], f"{where}.bundles[{lab}]")
+            per_label.setdefault(lab, []).append(weight)
 
-    _check_edges(charts, per_label | {"K": [-(c.w1 + c.w2) for c in charts]})
+    _check_edges(charts, per_label)
     return ToricSurfaceDescriptor(
         name=name,
         charts=tuple(charts),
@@ -282,45 +270,45 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
     )
 
 
-def _is_multiple(d: Weight, w: Weight) -> bool:
-    """d = m * w for an integer m (w is nonzero)."""
-    return _det(d, w) == 0 and (d.a * w.a + d.b * w.b) % (w.a**2 + w.b**2) == 0
+def _multiple(d: Weight, w: Weight) -> int | None:
+    """The integer m with d = m * w, or None (w is nonzero)."""
+    m, r = divmod(d.a * w.a + d.b * w.b, w.a**2 + w.b**2)
+    return None if r or _det(d, w) else m
+
+
+@cache
+def _edges(charts: tuple[FixedPointChart, ...]) -> tuple[tuple[int, Weight, int, int], ...]:
+    """The GKM graph: the edge along chart weight w at fixed point k, with
+    other weight v, ends at the one fixed point j with chart weights -w and
+    v - m * w, m an integer (the curve's self-intersection), as (k, w, j, m).
+    Every chart weight needs an opposite before any end is resolved.  Cached per chart tuple."""
+    pairs = [(k, w, v) for k, c in enumerate(charts) for w, v in ((c.w1, c.w2), (c.w2, c.w1))]
+    for k, w, _ in pairs:
+        if not any(u == -w for _, u, _ in pairs):
+            raise ValueError(f"fixed_points[{k}]: chart weight {[*w]} has no other fixed point "
+                             f"with chart weight {[*-w]}")
+    edges = []
+    for k, w, v in pairs:
+        ends = [(j, m) for j, u, o in pairs if u == -w and (m := _multiple(v - o, w)) is not None]
+        if len(ends) != 1:
+            found = ", ".join(f"fixed_points[{j}]" for j, _ in ends) or "none"
+            raise ValueError(f"fixed_points[{k}]: the edge along {[*w]} needs one end with chart "
+                             f"weights {[*-w]} and {[*v]} - m * {[*w]}, m an integer; found {found}")
+        edges.append((k, w, *ends[0]))
+    return tuple(edges)
 
 
 def _check_edges(charts: list[FixedPointChart], bundles: dict[str, list[Weight]]) -> None:
-    """The GKM conditions, naming the fixed point that breaks them.
-
-    Every chart weight w at fixed point k is the edge to another fixed
-    point j that carries -w, and every bundle's weights at k and j differ
-    by an integer multiple of w.  Without them the localization sums are
-    not constant.  All charts are checked before any bundle.
-    """
-    def show(w: Weight) -> str:
-        return f"[{w.a}, {w.b}]"
-
-    edges = []
-    for k, chart in enumerate(charts):
-        for w, minus in ((chart.w1, -chart.w1), (chart.w2, -chart.w2)):
-            ends = [j for j, c in enumerate(charts) if j != k and minus in (c.w1, c.w2)]
-            if not ends:
+    """The GKM conditions, naming the fixed point that breaks them: each
+    bundle's weights differ by an integer multiple of w across every edge
+    (k, w, j, m) of ``_edges``; K's always do, by -(2 + m) * w."""
+    for k, w, j, _ in _edges(tuple(charts)):
+        for lab, ws in bundles.items():
+            if _multiple(d := ws[k] - ws[j], w) is None:
                 raise ValueError(
-                    f"fixed_points[{k}]: chart weight {show(w)} has no other fixed point "
-                    f"with chart weight {show(minus)}"
+                    f"fixed_points[{k}]: bundle {lab!r} weights here and at fixed_points[{j}] "
+                    f"differ by {[*d]}, not a multiple of the chart weight {[*w]}"
                 )
-            edges.append((k, w, ends))
-    for k, w, ends in edges:
-        bad = [
-            (j, lab, d)
-            for j in ends
-            for lab, ws in bundles.items()
-            if not _is_multiple(d := ws[k] - ws[j], w)
-        ]
-        if len({j for j, _, _ in bad}) == len(ends):
-            j, lab, d = bad[0]
-            raise ValueError(
-                f"fixed_points[{k}]: bundle {lab!r} weights here and at fixed_points[{j}] "
-                f"differ by {show(d)}, not a multiple of the chart weight {show(w)}"
-            )
 
 
 def surface_from_file(path: str) -> ToricSurfaceDescriptor:

@@ -14,7 +14,14 @@ from nesthilb.charalg import (
     substitute_chart,
     top_chern_value,
 )
-from nesthilb.errors import DependentChartWeights, SpecializationPole, ZeroWeightInTangent
+from nesthilb.errors import (
+    DependentChartWeights,
+    NestHilbError,
+    SpecializationPole,
+    ZeroWeightInTangent,
+)
+from nesthilb.fixedchar import nested_tangent_char
+from nesthilb.partitions import Partition, box_char
 
 t1 = Character.monomial(1, 0)
 t2 = Character.monomial(0, 1)
@@ -207,6 +214,20 @@ class TestChernSeries:
         r = c.signed_rank()
         top = top_chern_value(c, x, y, twist)
         assert chern_useries(c, x, y, r + 2, twist).coeffs[r:] == [top, 0, 0]
+
+    @pytest.mark.parametrize("x,y", [(2, 5), (1, -1)], ids=["no-vanishing", "vanishing"])
+    def test_top_chern_value_of_a_virtual_character_is_refused(self, x, y):
+        # the nested tangent at ((2, 1), (1)) is virtual: a negative power
+        # is a float, and at (1, -1) its negative weight (-1, -1) vanishes,
+        # so 0 ** -m would divide by zero
+        c = nested_tangent_char(box_char(Partition((2, 1))), box_char(Partition((1,))))
+        negative = {w: m for w, m in c.terms.items() if m < 0}
+        assert (-1, -1) in negative
+        assert any(a * x + b * y == 0 for a, b in negative) is (y == -1)
+        with pytest.raises(NestHilbError, match="virtual character") as err:
+            top_chern_value(c, x, y)
+        for w, m in negative.items():
+            assert f"{w}: {m}" in str(err.value)
 
     def test_rational_point_rejected(self):
         # floor division on a Fraction would give a silently wrong series

@@ -81,7 +81,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("check", ["theorem7", "case2"])
     def test_inconsistent_canonical_bundle_is_usage_error(self, tmp_path, capsys, check):
-        # the charts meet the edge conditions but K = -w1 - w2 does not;
+        # every chart weight has an opposite, but the edge from fixed_points[0]
+        # along [0, 1] has no end, so K = -w1 - w2 is no bundle either;
         # unchecked at load, these checks died on K with a traceback
         descriptor = {"name": "bad-K", "fixed_points": [
             {"w1": [1, 0], "w2": [0, 1]},
@@ -91,7 +92,25 @@ class TestExitCodes:
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(descriptor))
         assert run_cli(["--surface", f"file:{path}", "--check", check, "--nmax", "0"]) == 2
-        assert "fixed_points[0]: bundle 'K'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: cannot load surface file: fixed_points[0]: the edge along [0, 1] needs one "
+            "end with chart weights [0, -1] and [1, 0] - m * [0, 1], m an integer; found none\n"
+        )
+
+    @pytest.mark.parametrize("check", ["theorem7", "theorem5", "case2", "case3", "zprod"])
+    def test_repeated_fixed_point_is_usage_error(self, tmp_path, capsys, check):
+        # with P^2's third fixed point listed twice, the edge from
+        # fixed_points[0] along [0, 1] has two ends; case3, which integrates
+        # nothing and so cannot meet a non-constant sum, must refuse it too
+        descriptor = {"name": "p2-twice", "fixed_points": PLANE_POINTS + PLANE_POINTS[2:]}
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(descriptor))
+        assert run_cli(["--surface", f"file:{path}", "--check", check, "--nmax", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot load surface file: fixed_points[0]: the edge along [0, 1] needs one "
+            "end with chart weights [0, -1] and [1, 0] - m * [0, 1], m an integer; found "
+            "fixed_points[2], fixed_points[3]\n"
+        )
 
     def test_non_object_fixed_point_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "surface.json"
@@ -192,12 +211,15 @@ class TestCustomSurfaceRun:
 
 class TestFanoDecision:
     def test_theorem5_asserted_only_on_fano_fans(self, tmp_path):
-        # Fano-ness comes from the fan (every D_i^2 >= -1), never from
-        # the name: a file descriptor called "p2" has no fan
-        path = tmp_path / "surface.json"
-        path.write_text(json.dumps({"name": "p2", "fixed_points": PLANE_POINTS}))
+        # Fano-ness comes from the chart weights (every invariant curve has
+        # self-intersection >= -1), never from the name: of two descriptors
+        # called "p2", the one with F_2's charts is not Fano
+        plane, f2 = tmp_path / "plane.json", tmp_path / "f2.json"
+        plane.write_text(json.dumps({"name": "p2", "fixed_points": PLANE_POINTS}))
+        f2_points = [{"w1": [*c.w1], "w2": [*c.w2]} for c in parse_surface("fa:2").charts]
+        f2.write_text(json.dumps({"name": "p2", "fixed_points": f2_points}))
         expected = {"fa:0": False, "fa:1": False, "fa:2": True, "fa:3": True,
-                    f"file:{path}": True}
+                    f"file:{plane}": False, f"file:{f2}": True}
         for selector, informational in expected.items():
             S = parse_surface(selector)
             (report,) = run_checks(S, S.bundle("O"), "theorem5", 1, seed=0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from nesthilb.charalg import Weight
 from nesthilb.cli import main
 from nesthilb.errors import WrongCoefficientCount
 from nesthilb.toric import (
+    EquivariantLineBundle,
     _check_edges,
     canonical_bundle,
     intersect,
@@ -240,15 +242,18 @@ class TestJsonDescriptor:
         assert "fixed_points[0]: bundle 'L'" in capsys.readouterr().err
 
     def test_canonical_bundle_off_the_edge_rejected(self):
-        # the charts meet the edge conditions, but K = -w1 - w2 at
-        # fixed_points[0] and [2] differs by [-2, -3], not a multiple of [0, 1]
+        # every chart weight has an opposite, but no fixed point carries
+        # [0, -1] next to [1, 0] - m * [0, 1], so the edge from fixed_points[0]
+        # along [0, 1] has no end; K = -w1 - w2 there and at fixed_points[2]
+        # differs by [-2, -3], no multiple of [0, 1]
         bad = {"name": "bad-K", "fixed_points": [
             {"w1": [1, 0], "w2": [0, 1]},
             {"w1": [-1, 0], "w2": [1, 1]},
             {"w1": [-1, -1], "w2": [0, -1]},
         ]}
-        message = r"fixed_points\[0\]: bundle 'K' .* fixed_points\[2\] differ by \[-2, -3\]"
-        with pytest.raises(ValueError, match=message):
+        message = ("fixed_points[0]: the edge along [0, 1] needs one end with chart weights "
+                   "[0, -1] and [1, 0] - m * [0, 1], m an integer; found none")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             surface_from_json(json.dumps(bad))
 
     def test_bundle_off_by_half_an_edge_rejected(self):
@@ -289,3 +294,82 @@ class TestJsonDescriptor:
         S = surface_from_json(json.dumps(DESCRIPTOR))
         with pytest.raises(KeyError):
             S.bundle("missing")
+
+
+FANS = {  # complete smooth fans, rays counterclockwise
+    "p2": [(1, 0), (0, 1), (-1, -1)],
+    "p1xp1": [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    "f1": [(1, 0), (0, 1), (-1, 1), (0, -1)],
+    "f2": [(1, 0), (0, 1), (-1, 2), (0, -1)],
+    "f3": [(1, 0), (0, 1), (-1, 3), (0, -1)],
+    "dp7": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+    "dp6": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    "blowup": [(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)],
+}
+
+
+def _self_intersections(rays):
+    # D_i^2 = -det(v_{i-1}, v_{i+1}) on a smooth complete fan
+    n = len(rays)
+    return [u[1] * v[0] - u[0] * v[1] for u, v in ((rays[i - 1], rays[(i + 1) % n]) for i in range(n))]
+
+
+class TestGkmGraph:
+    """The edge rule on chart weights against the fan it came from."""
+
+    @pytest.mark.parametrize("name", FANS)
+    def test_edges_are_the_fan_curves(self, name):
+        # chart i is the cone of rays i, i+1: its w1 edge runs along D_{i+1}
+        # to chart i+1, its w2 edge along D_i to chart i-1
+        rays = FANS[name]
+        n = len(rays)
+        S = toric._from_fan(name, rays)
+        D2 = _self_intersections(rays)
+        expected = sorted(
+            (k, w, j, D2[d % n])
+            for k, c in enumerate(S.charts)
+            for w, j, d in ((c.w1, (k + 1) % n, k + 1), (c.w2, (k - 1) % n, k))
+        )
+        edges = toric._edges(S.charts)
+        assert sorted(edges) == expected
+        assert sorted(m for *_, m in edges) == sorted(D2 * 2)
+
+    @pytest.mark.parametrize("name", FANS)
+    def test_fano_is_the_fan_rule(self, name):
+        S = toric._from_fan(name, FANS[name])
+        assert S.fano is all(d >= -1 for d in _self_intersections(FANS[name]))
+
+    def test_fans_cover_both_answers(self):
+        fano = {name: toric._from_fan(name, rays).fano for name, rays in FANS.items()}
+        assert [name for name, f in fano.items() if not f] == ["f2", "f3", "blowup"]
+
+    def test_descriptors_are_fano(self):
+        root = Path(__file__).resolve().parents[1]
+        for path in (root / "perfbench" / "data" / "custom-plane.json",
+                     root / "tests" / "data" / "scaled-plane.json"):
+            S = surface_from_json(path.read_text(encoding="utf-8"))
+            assert [m for *_, m in toric._edges(S.charts)] == [1] * 6
+            assert S.fano
+
+    def test_constructor_accepts_exactly_the_bundles(self):
+        # p1xp1 has two fixed points carrying each opposite weight, so the
+        # end of an edge is fixed by the other weight; weights that fit some
+        # other end are no bundle, and their pairings are not constant
+        S = surface_p1xp1()
+        box = [Weight(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+        genuine = set()
+        for coeffs in itertools.product(range(-2, 3), repeat=4):
+            ws = line_bundle(S, list(coeffs)).weights
+            shifted = tuple(w - ws[0] for w in ws)
+            if all(w in box for w in shifted):
+                genuine.add(shifted)
+        accepted = set()
+        for rest in itertools.product(box, repeat=3):
+            weights = (Weight(0, 0), *rest)
+            try:
+                EquivariantLineBundle("L", weights, S)
+            except ValueError:
+                continue
+            accepted.add(weights)
+        assert len(genuine) == 25
+        assert accepted == genuine
