@@ -6,11 +6,11 @@ come from their fans (projective plane, quadric, Hirzebruch), custom ones
 from a JSON descriptor of chart and bundle weights per fixed point.
 
 Conventions, pinned by the calibration tests: chart weights w1, w2 are
-the torus weights of the two local coordinate functions (the dual basis
-of the cone), and the weight of O(D) with D = sum a_i D_i at the fixed
-point of the cone spanned by rays v_i, v_j solves <lambda, v_i> = a_i,
-<lambda, v_j> = a_j.  The canonical bundle then has weight -w1 - w2 at
-every fixed point.
+the torus weights of the two local coordinate functions, the dual basis
+of the cone spanned by rays v_i, v_j, and the weight of O(D) with
+D = sum a_i D_i at its fixed point is a_i * w1 + a_j * w2, the one
+lambda with <lambda, v_i> = a_i, <lambda, v_j> = a_j.  The canonical
+bundle (every a_i = -1) then has weight -w1 - w2 at every fixed point.
 """
 
 from __future__ import annotations
@@ -60,15 +60,15 @@ class EquivariantLineBundle:
         try:
             _check_edges(S.charts, {self.label: self.weights})
         except ValueError as err:
-            raise ValueError(f"bundle {self.label!r} on surface {S.name!r}: {err}") from None
+            raise ValueError(f"surface {S.name!r}: {err}") from None
 
 
 @dataclass(frozen=True)
 class ToricSurfaceDescriptor:
     name: str
     charts: tuple[FixedPointChart, ...]
-    # fan rays, counterclockwise, for ``line_bundle`` only; chart i is the
-    # cone of rays i, i+1.  None for file-based descriptors
+    # fan rays, counterclockwise; chart i is the dual basis of the cone of rays
+    # i, i+1, and ``line_bundle`` only counts them.  None for file-based descriptors
     rays: tuple[tuple[int, int], ...] | None = None
     named_bundles: tuple[tuple[str, tuple[Weight, ...]], ...] = ()
 
@@ -103,26 +103,17 @@ class ToricSurfaceDescriptor:
                                  f"but is used on surface {self.name!r}")
 
 
-def _solve_pairing(v1: tuple[int, int], v2: tuple[int, int], c1: int, c2: int) -> Weight:
-    """Integer solution w of <w, v1> = c1, <w, v2> = c2 (unimodular cone)."""
-    det = _det(v1, v2)
-    if det == 0:
-        raise DependentChartWeights(f"degenerate cone {v1}, {v2}")
-    na = c1 * v2[1] - c2 * v1[1]
-    nb = c2 * v1[0] - c1 * v2[0]
-    if na % det or nb % det:
-        raise ValueError(f"non-smooth cone {v1}, {v2}")
-    return Weight(na // det, nb // det)
-
-
 def _from_fan(name: str, rays: list[tuple[int, int]]) -> ToricSurfaceDescriptor:
-    """Surface from a complete smooth fan with rays in counterclockwise order."""
-    cones = zip(rays, rays[1:] + rays[:1])
-    charts = tuple(
-        FixedPointChart(_solve_pairing(vi, vj, 1, 0), _solve_pairing(vi, vj, 0, 1))
-        for vi, vj in cones
-    )
-    return ToricSurfaceDescriptor(name=name, charts=charts, rays=tuple(rays))
+    """Surface from a complete smooth fan, rays in cyclic order: chart i is
+    the dual basis of the cone of rays i, i+1, read with 1/det = det."""
+    charts = []
+    for vi, vj in zip(rays, rays[1:] + rays[:1]):
+        det = _det(vi, vj)
+        if abs(det) != 1:
+            raise ValueError(f"surface {name!r}: the cone of rays {vi}, {vj} is not smooth (det {det})")
+        charts.append(FixedPointChart(Weight(det * vj[1], -det * vj[0]),
+                                      Weight(-det * vi[1], det * vi[0])))
+    return ToricSurfaceDescriptor(name=name, charts=tuple(charts), rays=tuple(rays))
 
 
 def surface_p2() -> ToricSurfaceDescriptor:
@@ -143,16 +134,19 @@ def surface_hirzebruch(a: int) -> ToricSurfaceDescriptor:
 
 
 def line_bundle(S: ToricSurfaceDescriptor, divisor_coeffs: list[int]) -> EquivariantLineBundle:
-    """Equivariant O(D) for D = sum a_i D_i over the fan rays of S."""
+    """Equivariant O(D) for D = sum a_i D_i over the fan rays of S: at chart i,
+    the cone of rays i, i+1, the weight a_i * w1 + a_{i+1} * w2, which pairs
+    to a_i with v_i and to a_{i+1} with v_{i+1}."""
     if S.rays is None:
         raise WrongCoefficientCount(f"surface {S.name!r} has no fan data; use a named bundle")
-    if len(divisor_coeffs) != len(S.rays):
-        raise WrongCoefficientCount(f"expected {len(S.rays)} coefficients, got {len(divisor_coeffs)}")
-    rays = S.rays
+    n = len(S.rays)
+    if len(divisor_coeffs) != n:
+        raise WrongCoefficientCount(f"surface {S.name!r} has {n} fan rays: expected {n} "
+                                    f"divisor coefficients, got {len(divisor_coeffs)}")
     a = [_require_int(c, f"divisor coefficient {i}") for i, c in enumerate(divisor_coeffs)]
-    weights = tuple(  # at chart i, the cone of rays i, i+1
-        _solve_pairing(vi, vj, ai, aj)
-        for vi, vj, ai, aj in zip(rays, rays[1:] + rays[:1], a, a[1:] + a[:1])
+    weights = tuple(
+        Weight(ai * c.w1.a + aj * c.w2.a, ai * c.w1.b + aj * c.w2.b)
+        for c, ai, aj in zip(S.charts, a, a[1:] + a[:1])
     )
     label = "O(" + ",".join(str(c) for c in divisor_coeffs) + ")"
     return EquivariantLineBundle(label, weights, S)

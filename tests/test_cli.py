@@ -69,6 +69,11 @@ class TestExitCodes:
         assert run_cli(["--surface", "p2", "--bundle", "Q"]) == 2
         assert capsys.readouterr().err == "error: no bundle named 'Q' on surface 'p2'\n"
 
+    def test_wrong_coefficient_count_names_the_surface(self, capsys):
+        assert run_cli(["--surface", "p2", "--bundle", "1,2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: surface 'p2' has 3 fan rays: expected 3 divisor coefficients, got 2\n")
+
     def test_degenerate_descriptor_is_usage_error(self, tmp_path, capsys):
         descriptor = {
             "name": "flat",

@@ -373,3 +373,51 @@ class TestGkmGraph:
             accepted.add(weights)
         assert len(genuine) == 25
         assert accepted == genuine
+
+
+def _pairing(w, v):
+    return w.a * v[0] + w.b * v[1]
+
+
+class TestFanCharts:
+    """Charts and O(D) weights against the pairings with the rays they came
+    from; each fan is also read clockwise, where every cone has det -1."""
+
+    @pytest.mark.parametrize("name", FANS)
+    @pytest.mark.parametrize("order", [1, -1], ids=["ccw", "cw"])
+    def test_charts_are_the_dual_bases(self, name, order):
+        rays = FANS[name][::order]
+        S = toric._from_fan(name, rays)
+        cones = zip(rays, rays[1:] + rays[:1])
+        pairings = [
+            (_pairing(c.w1, vi), _pairing(c.w1, vj), _pairing(c.w2, vi), _pairing(c.w2, vj))
+            for c, (vi, vj) in zip(S.charts, cones)
+        ]
+        assert pairings == [(1, 0, 0, 1)] * len(rays)
+
+    @pytest.mark.parametrize("name", FANS)
+    @pytest.mark.parametrize("order", [1, -1], ids=["ccw", "cw"])
+    def test_bundle_weights_meet_both_rays(self, name, order):
+        # chart i is the cone of rays i, i+1: O(D)'s weight there pairs to
+        # a_i with v_i and to a_{i+1} with v_{i+1}
+        rays = FANS[name][::order]
+        n = len(rays)
+        S = toric._from_fan(name, rays)
+        for a in itertools.product((-1, 0, 1), repeat=n):
+            weights = line_bundle(S, list(a)).weights
+            got = [(_pairing(w, rays[i]), _pairing(w, rays[(i + 1) % n])) for i, w in enumerate(weights)]
+            assert got == [(a[i], a[(i + 1) % n]) for i in range(n)]
+
+    # the weighted plane P(1,1,2) has a det-2 cone; unchecked, its charts
+    # are integral but no dual basis.  A repeated ray makes a det-0 cone
+    @pytest.mark.parametrize(
+        "rays,cone",
+        [
+            ([(1, 0), (0, 1), (-1, -2)], "(-1, -2), (1, 0) is not smooth (det 2)"),
+            ([(1, 0), (0, 1), (0, 1), (-1, -1)], "(0, 1), (0, 1) is not smooth (det 0)"),
+        ],
+        ids=["det-2-cone", "repeated-ray"],
+    )
+    def test_non_smooth_cone_refused(self, rays, cone):
+        with pytest.raises(ValueError, match=re.escape(f"surface 'bad': the cone of rays {cone}")):
+            toric._from_fan("bad", rays)
