@@ -47,6 +47,26 @@ class Weight(NamedTuple):
         return self.a * x + self.b * y
 
 
+class Slotted:
+    """Equality, hash and a dataclass-style repr over ``__slots__``; immutable by convention."""
+
+    __slots__ = ()
+    _unshown = ()  # fields the repr leaves out
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
 class Character:
     """Sparse Laurent polynomial in two torus variables with integer
     coefficients: a K-theory class of the 2-torus, local or global.

@@ -44,6 +44,7 @@ from .verify import (
 )
 
 CHECK_NAMES = ("theorem7", "theorem5", "case2", "case3", "zprod")
+_COEFFS = re.compile(r"-?\d+(,-?\d+)*")  # a divisor coefficient list
 
 
 class UsageError(Exception):
@@ -69,7 +70,7 @@ def parse_surface(selector: str) -> ToricSurfaceDescriptor:
 
 def parse_bundle(S: ToricSurfaceDescriptor, selector: str) -> tuple[EquivariantLineBundle, list[int]]:
     """Divisor coefficient list (fan surfaces) or a bundle label."""
-    if re.fullmatch(r"-?\d+(,-?\d+)*", selector):
+    if _COEFFS.fullmatch(selector):
         coeffs = [int(c) for c in selector.split(",")]
         try:
             return line_bundle(S, coeffs), coeffs
@@ -117,8 +118,7 @@ def run_checks(
             entries = tuple((*key, value, value) for key, value in table.values.items())
             configs = sum(table.config_counts.values())
             report = CheckReport("zprod", entries, configs_evaluated=configs)
-        report.millis = int((time.monotonic() - t0) * 1000)
-        reports.append(report)
+        reports.append(report._replace(millis=int((time.monotonic() - t0) * 1000)))
     return reports
 
 
@@ -225,7 +225,12 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    # argparse takes "-1,-1,-1" for an option: join such a list to its --bundle/-b flag
+    args = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(args) - 1, 0, -1):
+        if args[i - 1] in ("--bundle", "-b") and _COEFFS.fullmatch(args[i]):
+            args[i - 1 : i + 1] = [f"--bundle={args[i]}"]
+    return run(build_parser().parse_args(args))
 
 
 if __name__ == "__main__":

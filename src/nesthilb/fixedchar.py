@@ -21,9 +21,8 @@ nested pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .charalg import Character
 from .errors import InvalidNesting
@@ -71,8 +70,7 @@ def _signed_em(*terms) -> Character:
     return Character(out)
 
 
-@dataclass(frozen=True)
-class FixedConfig:
+class FixedConfig(NamedTuple):
     """An assignment of one partition pair to each fixed point.
 
     In nested mode every pair satisfies boxwise containment; in product

@@ -32,11 +32,12 @@ degree 0 in (s1, s2).  Z_p sees its chart only through the chart weights,
 so it is evaluated from the local terms at the projected point
 (w1(x, y), w2(x, y)).  Each chart's factor is integral over one common
 denominator, so each entry costs one Fraction.
+
+Factors and specs are checked when made, immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
@@ -44,7 +45,7 @@ from math import lcm, prod
 from operator import add, gt
 from typing import Callable, NamedTuple
 
-from .charalg import Character, Rational, USeries, Weight, chern_useries, euler_value
+from .charalg import Character, Rational, Slotted, USeries, Weight, chern_useries, euler_value
 from .charalg import top_chern_value
 from .charalg import substitute_chart  # the oracle's only, and bound for the benchmark trace
 from .errors import InvalidNesting
@@ -62,24 +63,21 @@ from .toric import EquivariantLineBundle, FixedPointChart, ToricSurfaceDescripto
 _NPOINTS = 3  # specialization points that must agree
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Slotted):
     """One multiplicative piece of an integrand.
 
     kind: "total" (whole Chern series), "top" (top Chern class only) or
     "index" (single Chern class c_k, k >= 0).
-    klass: which K-class the factor is built from.
+    klass: which K-class the factor is built from (em, em_rev, taut, tangent).
     slot: 1 or 2 for classes living on a single Hilbert factor (taut,
     tangent).
     """
 
-    kind: str
-    klass: str  # em | em_rev | taut | tangent
-    bundle: EquivariantLineBundle | None = None
-    k: int | None = None
-    slot: int | None = None
+    __slots__ = ("kind", "klass", "bundle", "k", "slot")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, klass: str, bundle: EquivariantLineBundle | None = None,
+                 k: int | None = None, slot: int | None = None):
+        self.kind, self.klass, self.bundle, self.k, self.slot = kind, klass, bundle, k, slot
         if self.kind not in ("total", "top", "index"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.klass not in ("em", "em_rev", "taut", "tangent"):
@@ -122,22 +120,20 @@ def top_chern_taut(bundle: EquivariantLineBundle, slot: int = 1) -> Factor:
     return Factor("top", "taut", bundle, slot=slot)
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(Slotted):
     """mode: "nested" (the nested scheme S^[n1,n2]) or "product" (S^[n1] x
     S^[n2]).  The single Hilbert scheme S^[n] is product mode at n2 = 0,
     where slot-2 factors see S^[0] (see ``integrate_hilb``)."""
 
-    mode: str
-    factors: tuple[Factor, ...] = ()
+    __slots__ = ("mode", "factors")
 
-    def __post_init__(self):
+    def __init__(self, mode: str, factors: tuple[Factor, ...] = ()):
+        self.mode, self.factors = mode, factors
         if self.mode not in ("nested", "product"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """Every entry (a, b) <= (n1, n2) of one localization table (b <= a
     in nested mode) and its configuration count."""
 

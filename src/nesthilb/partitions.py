@@ -1,21 +1,21 @@
-"""Integer partitions and boxwise-nested pairs."""
+"""Integer partitions and boxwise-nested pairs, both checked when made and
+immutable by convention (``Slotted``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .charalg import Character
+from .charalg import Character, Slotted
 from .errors import InvalidNesting
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Slotted):
     """A weakly decreasing tuple of positive integers; () is the partition of 0."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[int, ...]):
+        self.parts = parts
         if any(p <= 0 for p in self.parts):
             raise ValueError(f"parts must be positive: {self.parts}")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
@@ -44,14 +44,13 @@ class Partition:
 EMPTY = Partition(())
 
 
-@dataclass(frozen=True)
-class NestedPair:
+class NestedPair(Slotted):
     """A pair inner <= outer of boxwise-nested partitions."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
+    def __init__(self, outer: Partition, inner: Partition):
+        self.outer, self.inner = outer, inner
         if not self.outer.contains(self.inner):
             raise InvalidNesting(f"{self.inner} not contained in {self.outer}")
 

@@ -11,16 +11,17 @@ of the cone spanned by rays v_i, v_j, and the weight of O(D) with
 D = sum a_i D_i at its fixed point is a_i * w1 + a_j * w2, the one
 lambda with <lambda, v_i> = a_i, <lambda, v_j> = a_j.  The canonical
 bundle (every a_i = -1) then has weight -w1 - w2 at every fixed point.
+
+Charts, bundles and surfaces are checked when made, immutable by convention.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .charalg import Rational, Weight
+from .charalg import Rational, Slotted, Weight
 from .errors import DependentChartWeights, SpecializationPole, WrongCoefficientCount
 from .sampling import certified_value, make_rng, random_point
 
@@ -31,48 +32,44 @@ def _det(v1: tuple[int, int], v2: tuple[int, int]) -> int:
     return v1[0] * v2[1] - v1[1] * v2[0]
 
 
-@dataclass(frozen=True)
-class FixedPointChart:
+class FixedPointChart(Slotted):
     """Weights of the two local coordinate functions at a fixed point."""
 
-    w1: Weight
-    w2: Weight
+    __slots__ = ("w1", "w2")
 
-    def __post_init__(self):
+    def __init__(self, w1: Weight, w2: Weight):
+        self.w1, self.w2 = w1, w2
         if _det(self.w1, self.w2) == 0:
             raise DependentChartWeights(f"chart weights {self.w1}, {self.w2}")
 
 
-@dataclass(frozen=True)
-class EquivariantLineBundle:
+class EquivariantLineBundle(Slotted):
     """A line bundle on ``surface``, given by its fiber weight at each fixed
     point; checked once, when made, across every GKM edge (``_check_edges``)."""
 
-    label: str
-    weights: tuple[Weight, ...]
-    surface: ToricSurfaceDescriptor = field(repr=False)
+    __slots__ = ("label", "weights", "surface")
+    _unshown = ("surface",)
 
-    def __post_init__(self):
-        S = self.surface
-        if len(self.weights) != len(S.charts):
-            raise ValueError(f"bundle {self.label!r} has {len(self.weights)} weights, but "
-                             f"surface {S.name!r} has {len(S.charts)} fixed points")
+    def __init__(self, label: str, weights: tuple[Weight, ...], surface: ToricSurfaceDescriptor):
+        self.label, self.weights, self.surface = label, weights, surface
+        if len(weights) != len(surface.charts):
+            raise ValueError(f"bundle {label!r} has {len(weights)} weights, but "
+                             f"surface {surface.name!r} has {len(surface.charts)} fixed points")
         try:
-            _check_edges(S.charts, {self.label: self.weights})
+            _check_edges(surface.charts, {label: weights})
         except ValueError as err:
-            raise ValueError(f"surface {S.name!r}: {err}") from None
+            raise ValueError(f"surface {surface.name!r}: {err}") from None
 
 
-@dataclass(frozen=True)
-class ToricSurfaceDescriptor:
-    name: str
-    charts: tuple[FixedPointChart, ...]
-    # fan rays, counterclockwise; chart i is the dual basis of the cone of rays
-    # i, i+1, and ``line_bundle`` only counts them.  None for file-based descriptors
-    rays: tuple[tuple[int, int], ...] | None = None
-    named_bundles: tuple[tuple[str, tuple[Weight, ...]], ...] = ()
+class ToricSurfaceDescriptor(Slotted):
+    # rays: the fan rays, counterclockwise; chart i is the dual basis of the cone of
+    # rays i, i+1, and ``line_bundle`` only counts them.  None for file-based descriptors
+    __slots__ = ("name", "charts", "rays", "named_bundles")
 
-    def __post_init__(self):
+    def __init__(self, name: str, charts: tuple[FixedPointChart, ...],
+                 rays: tuple[tuple[int, int], ...] | None = None,
+                 named_bundles: tuple[tuple[str, tuple[Weight, ...]], ...] = ()):
+        self.name, self.charts, self.rays, self.named_bundles = name, charts, rays, named_bundles
         if len(self.charts) < 3:
             raise ValueError("a projective toric surface has at least 3 fixed points")
 

@@ -11,8 +11,8 @@ tangent class from local terms, with 2n + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charalg import Rational, _binomial
 from .errors import InconsistentTangent, NestHilbError
@@ -34,8 +34,7 @@ from .toric import (
 )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     # (n1, n2, lhs, rhs) per compared entry
     entries: tuple[tuple[int, int, Rational, Rational], ...]
@@ -64,7 +63,7 @@ def theorem7_lhs(
     extension class twisted by M, every n2 <= n1 <= nmax in one call."""
     res = integrate(S, nmax, nmax, IntegrandSpec("nested", (total_chern_em(M),)), seed=seed)
     signed = {(n1, n2): (-1) ** (n1 + n2) * v for (n1, n2), v in res.values.items()}
-    return replace(res, values=signed)
+    return res._replace(values=signed)
 
 
 def theorem7_rhs(
@@ -213,8 +212,8 @@ def zprod_table(
     spec = IntegrandSpec("product", (total_chern_em(), total_chern_em(M)))
     res = integrate(S, nmax, nmax, spec, seed=seed)
     keys = _table_keys(nmax)
-    table = replace(res, values={k: res.values[k] for k in keys},
-                    config_counts={k: res.config_counts[k] for k in keys})
+    table = res._replace(values={k: res.values[k] for k in keys},
+                         config_counts={k: res.config_counts[k] for k in keys})
     for (n1, n2), value in table.values.items():
         if value.denominator != 1:
             raise NestHilbError(f"non-integral zprod {value} on {S.name} at ({n1}, {n2})")

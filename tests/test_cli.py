@@ -56,6 +56,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("flag", ["--bundle", "-b"])
+    def test_negative_coefficients_after_a_space(self, flag, capsys):
+        # K on p2: argparse alone takes "-1,-1,-1" for an option and exits 2
+        base = ["--surface", "p2", "--check", "theorem7", "--nmax", "1", "--output", "json"]
+        assert run_cli([*base, "--bundle=-1,-1,-1"]) == 0
+        joined = capsys.readouterr().out
+        assert json.loads(joined)["bundle"] == [-1, -1, -1]
+        assert run_cli([*base, flag, "-1,-1,-1"]) == 0
+        assert capsys.readouterr().out == joined
+
     def test_missing_file_is_usage_error(self, capsys):
         assert run_cli(["--surface", "file:missing.json"]) == 2
 

@@ -20,7 +20,6 @@ their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,7 +362,7 @@ TOP_DEGREE_SPECS = {
 def with_unit_index(spec):
     """``spec`` times c_0 = 1: the same integrand, but an index factor
     sends it down the u/v series path."""
-    return replace(spec, factors=spec.factors + (chern_index_em(0),))
+    return IntegrandSpec(spec.mode, spec.factors + (chern_index_em(0),))
 
 
 def is_top(spec, n1, n2):

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nesthilb
 
@@ -36,6 +40,36 @@ def test_no_configuration_enumeration():
     assert found == []
 
 
+def test_no_dataclasses_import():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # decorated class execs generated code: most of the package's import time
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("module", ["nesthilb", "nesthilb.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # a fresh isolated interpreter, compared before and after the import so
+    # that what site preloads does not count
+    probe = (
+        f"import sys; before = set(sys.modules); sys.path.insert(0, {str(SRC.parent)!r}); "
+        f"import {module}; print(sys.modules['nesthilb'].__file__); "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == SRC
+    added = set(ast.literal_eval(out[1]))
+    assert module in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
 def test_gkm_check_runs_only_where_surfaces_and_bundles_are_made():
     # a bundle is checked once, when it is made; a check per integrate or
     # intersect call would repeat it on every use
@@ -58,7 +92,7 @@ def test_gkm_check_runs_only_where_surfaces_and_bundles_are_made():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_check_edges"
         ]
     assert sorted(found) == [
-        "toric.py:EquivariantLineBundle.__post_init__",
+        "toric.py:EquivariantLineBundle.__init__",
         "toric.py:surface_from_json",
     ]
 
