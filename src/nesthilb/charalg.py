@@ -25,8 +25,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DependentChartWeights, SpecializationPole, VirtualCharacter, ZeroWeightInTangent
 
-Rational = Fraction
-
 
 class Weight(NamedTuple):
     """A character a*s1 + b*s2 of the global 2-torus."""
@@ -140,7 +138,7 @@ def _require_int_point(x, y) -> None:
         raise TypeError(f"specialization point must be a pair of ints, got ({x!r}, {y!r})")
 
 
-def euler_value(c: Character, x: int, y: int) -> Rational:
+def euler_value(c: Character, x: int, y: int) -> Fraction:
     """Equivariant Euler class of c at the integer point s1 = x, s2 = y.
 
     Product of weight values with multiplicities as exponents; negative

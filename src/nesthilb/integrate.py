@@ -45,7 +45,7 @@ from math import lcm, prod
 from operator import add, gt
 from typing import Callable, NamedTuple
 
-from .charalg import Character, Rational, Slotted, USeries, Weight, chern_useries, euler_value
+from .charalg import Character, Slotted, USeries, Weight, chern_useries, euler_value
 from .charalg import top_chern_value
 from .charalg import substitute_chart  # the oracle's only, and bound for the benchmark trace
 from .errors import InvalidNesting
@@ -137,14 +137,14 @@ class InvariantResult(NamedTuple):
     """Every entry (a, b) <= (n1, n2) of one localization table (b <= a
     in nested mode) and its configuration count."""
 
-    values: dict[tuple[int, int], Rational]
+    values: dict[tuple[int, int], Fraction]
     config_counts: dict[tuple[int, int], int]
     specializations: tuple[Point, ...]
     n1: int
     n2: int
 
     @property
-    def value(self) -> Rational:
+    def value(self) -> Fraction:
         return self.values[(self.n1, self.n2)]
 
     @property
@@ -347,7 +347,7 @@ def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int, caps: tuple[int, ...
 
 def _evaluate(
     local: _Terms, S: ToricSurfaceDescriptor, x: int, y: int, spec: IntegrandSpec, grading: _Grading
-) -> dict[tuple[int, int], Rational]:
+) -> dict[tuple[int, int], Fraction]:
     """Every entry of the vertex product Z = prod_p Z_p at (x, y)."""
     charts = range(len(S.charts))
     dens, grids = zip(*(_chart_grid(local, S, i, x, y, spec, grading) for i in charts))
@@ -397,6 +397,8 @@ def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, 
     independent (``FixedPointChart`` checks it at load), so only the
     local exponent (0, 0) substitutes to the zero weight.
     """
+    if n2 < 0 or n1 < n2:
+        raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode 'nested'")
     local: _Grid = {}
     witnesses: dict = {}
     for key in ((a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1)):

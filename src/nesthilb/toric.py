@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from functools import cache
 
-from .charalg import Rational, Slotted, Weight
+from .charalg import Slotted, Weight
 from .errors import DependentChartWeights, SpecializationPole, WrongCoefficientCount
 from .sampling import certified_value, make_rng, random_point
 
@@ -164,7 +164,7 @@ def intersect(
     L: EquivariantLineBundle,
     Lp: EquivariantLineBundle,
     seed: int = 0,
-) -> Rational:
+) -> Fraction:
     """Poincare pairing <L, L'> by surface-level localization.
 
     Evaluated at several random integer specializations (each term is
@@ -172,7 +172,7 @@ def intersect(
     """
     S.check_bundles(L, Lp)
 
-    def evaluate(x: int, y: int) -> Rational:
+    def evaluate(x: int, y: int) -> Fraction:
         total = Fraction(0)
         for chart, lw, lpw in zip(S.charts, L.weights, Lp.weights):
             d1 = chart.w1.value(x, y)

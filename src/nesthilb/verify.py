@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .charalg import Rational, _binomial
-from .errors import InconsistentTangent, NestHilbError
+from .charalg import _binomial
+from .errors import InconsistentTangent, InvalidNesting, NestHilbError
 from .integrate import (
     IntegrandSpec,
     InvariantResult,
@@ -37,7 +37,7 @@ from .toric import (
 class CheckReport(NamedTuple):
     name: str
     # (n1, n2, lhs, rhs) per compared entry
-    entries: tuple[tuple[int, int, Rational, Rational], ...]
+    entries: tuple[tuple[int, int, Fraction, Fraction], ...]
     configs_evaluated: int = 0
     millis: int = 0  # wall time, set by the CLI
     # informational reports record agreement but are never asserted
@@ -71,13 +71,15 @@ def theorem7_rhs(
     M: EquivariantLineBundle,
     nmax: int,
     seed: int = 0,
-) -> dict[tuple[int, int], Rational]:
+) -> dict[tuple[int, int], Fraction]:
     """Closed-form product expansion.
 
     prod_{n>0} (1 - q2^(n-1) q1^n)^A (1 - (q1 q2)^n)^B, with
     A = <K, K-M> = K^2 - K.M and B = <K-M, M> - e = K.M - M^2 - e,
     expanded exactly to q1-degree nmax.
     """
+    if nmax < 0:
+        raise InvalidNesting(f"invalid nmax {nmax}")
     K = canonical_bundle(S)
     KK, KM, MM = (intersect(S, L, Lp, seed=seed) for L, Lp in ((K, K), (K, M), (M, M)))
     A = KK - KM

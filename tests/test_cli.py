@@ -187,6 +187,21 @@ class TestJsonReport:
         for e in doc["checks"][0]["entries"]:
             assert f"lhs={e['lhs']}" in text
 
+    def test_timings_change_only_millis(self, tmp_path):
+        def report(*flags):
+            path = tmp_path / "r.json"
+            run_cli(["--surface", "p1xp1", "--check", "all", "--nmax", "2",
+                     "--output", "json", "--out", str(path), *flags])
+            return json.loads(path.read_text())
+
+        plain, timed = report(), report("--timings")
+        assert [c["millis"] for c in plain["checks"]] == [0] * 5
+        assert all(type(c["millis"]) is int and c["millis"] >= 0 for c in timed["checks"])
+        assert any(c["millis"] > 0 for c in timed["checks"])  # theorem5 alone takes milliseconds
+        for check in timed["checks"]:
+            check["millis"] = 0
+        assert timed == plain
+
 
 PLANE_POINTS = [
     {"w1": [1, 0], "w2": [0, 1], "bundles": {}},

@@ -70,6 +70,20 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     assert added & {"dataclasses", "inspect"} == set()
 
 
+def test_no_package_attribute_shadows_a_module():
+    # a name re-exported on the package would hide the submodule of that
+    # name from `import nesthilb.x as m`; a bare import loads no check code
+    probe = (
+        f"import sys, types; sys.path.insert(0, {str(SRC.parent)!r}); import nesthilb; "
+        "print(sorted(m for m in ('nesthilb.integrate', 'nesthilb.verify', 'nesthilb.cli') "
+        "if m in sys.modules)); "
+        "import nesthilb.integrate as m; print(isinstance(m, types.ModuleType))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["[]", "True"]
+
+
 def test_gkm_check_runs_only_where_surfaces_and_bundles_are_made():
     # a bundle is checked once, when it is made; a check per integrate or
     # intersect call would repeat it on every use

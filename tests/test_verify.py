@@ -10,7 +10,8 @@ import pytest
 import nesthilb.verify
 from nesthilb.charalg import Character
 from nesthilb.cli import main, run_checks
-from nesthilb.errors import InconsistentTangent, NestHilbError
+from nesthilb.errors import InconsistentTangent, InvalidNesting, NestHilbError
+from nesthilb.integrate import tangent_classes
 from nesthilb.toric import (
     EquivariantLineBundle,
     canonical_bundle,
@@ -310,3 +311,23 @@ class TestProductSeriesGoldens:
     def test_integrality_enforced(self):
         table = zprod_table(surface_p2(), canonical_bundle(surface_p2()), 1)
         assert all(v.denominator == 1 for v in table.values.values())
+
+
+class TestInvalidSizes:
+    # the checks, theorem7's closed form and case3's class counts refuse a
+    # negative or non-nested size with the one typed error
+    @pytest.mark.parametrize("call", [
+        lambda S, M: theorem7_check(S, M, -1),
+        lambda S, M: theorem7_rhs(S, M, -1),
+        lambda S, M: case2_check(S, M, -1),
+        lambda S, M: case3_check(S, -1),
+        lambda S, M: zprod_table(S, M, -1),
+        lambda S, M: tangent_classes(S, 0, -1),
+        lambda S, M: tangent_classes(S, 2, 3),
+        lambda S, M: tangent_classes(S, -1, 0),
+    ], ids=["theorem7", "theorem7_rhs", "case2", "case3", "zprod", "tangent_classes-n2",
+            "tangent_classes-n1<n2", "tangent_classes-n1"])
+    def test_refused(self, call):
+        S = surface_p2()
+        with pytest.raises(InvalidNesting):
+            call(S, S.bundle("O"))
