@@ -2,4 +2,4 @@
 on toric surfaces."""
 
 # perfbench/setup_probe.py reads these; they go once its api mode imports nesthilb.toric
-from .toric import line_bundle, surface_hirzebruch, surface_p1xp1, surface_p2
+from .toric import line_bundle, surface_p1xp1

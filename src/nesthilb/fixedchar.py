@@ -92,7 +92,7 @@ def local_pairs(a: int, b: int, mode: str) -> list[tuple[Partition, Partition]]:
     """Every partition pair of sizes (a, b) one fixed point can carry:
     boxwise nested in nested mode, independent in product mode."""
     if mode == "nested":
-        return [(pr.outer, pr.inner) for pr in nested_pairs(a, b)]
+        return nested_pairs(a, b)
     return list(product(partitions_of(a), partitions_of(b)))
 
 

@@ -1,5 +1,5 @@
-"""Integer partitions and boxwise-nested pairs, both checked when made and
-immutable by convention (``Slotted``)."""
+"""Integer partitions, checked when made, built once and immutable by
+convention (``Slotted``); boxwise-nested pairs are ``(outer, inner)`` tuples."""
 
 from __future__ import annotations
 
@@ -44,41 +44,27 @@ class Partition(Slotted):
 EMPTY = Partition(())
 
 
-class NestedPair(Slotted):
-    """A pair inner <= outer of boxwise-nested partitions."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer: Partition, inner: Partition):
-        self.outer, self.inner = outer, inner
-        if not self.outer.contains(self.inner):
-            raise InvalidNesting(f"{self.inner} not contained in {self.outer}")
-
-
 @lru_cache(maxsize=None)
-def _partitions_bounded(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, bound), 0, -1):
-        for rest in _partitions_bounded(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n in lexicographic descending order."""
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in lexicographic descending order, each built once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(p) for p in _partitions_bounded(n, n)]
+    if n == 0:
+        return (EMPTY,)
+    return tuple(
+        Partition((first,) + rest.parts)
+        for first in range(n, 0, -1)
+        for rest in partitions_of(n - first)
+        if not rest.parts or rest.parts[0] <= first
+    )
 
 
-def nested_pairs(n1: int, n2: int) -> list[NestedPair]:
+def nested_pairs(n1: int, n2: int) -> list[tuple[Partition, Partition]]:
     """All pairs (mu1 of n1, mu2 of n2) with mu2 boxwise inside mu1."""
     if n2 < 0 or n1 < n2:
         raise InvalidNesting(f"need n1 >= n2 >= 0, got ({n1}, {n2})")
     inner = partitions_of(n2)
-    return [NestedPair(mu1, mu2) for mu1 in partitions_of(n1) for mu2 in inner if mu1.contains(mu2)]
+    return [(mu1, mu2) for mu1 in partitions_of(n1) for mu2 in inner if mu1.contains(mu2)]
 
 
 def box_char(mu: Partition) -> Character:

@@ -19,6 +19,7 @@ from .errors import InconsistentTangent, InvalidNesting, NestHilbError
 from .integrate import (
     IntegrandSpec,
     InvariantResult,
+    _times,
     integrate,
     integrate_hilb,
     tangent_classes,
@@ -88,23 +89,15 @@ def theorem7_rhs(
         raise NestHilbError(f"non-integral A={A}, B={B} on {S.name} bundle {M.label}")
     A, B = A.numerator, B.numerator
 
-    series: dict[tuple[int, int], int] = {(0, 0): 1}
+    # the vertex product's grids, with one empty v-degree and u cut at 0;
+    # every factor has m2 <= m1, so a cut at (nmax, nmax) loses nothing
+    series = {(0, 0): {(): [1]}}
     for n in range(1, nmax + 1):
         for (m1, m2), expo in (((n, n - 1), A), ((n, n), B)):
-            factor: dict[tuple[int, int], int] = {}
-            k = 0
-            while k * m1 <= nmax:
-                factor[(k * m1, k * m2)] = _binomial(expo, k) * (-1) ** k
-                k += 1
-            out: dict[tuple[int, int], int] = {}
-            for (a1, a2), c1 in series.items():
-                for (b1, b2), c2 in factor.items():
-                    d = (a1 + b1, a2 + b2)
-                    if d[0] <= nmax:
-                        out[d] = out.get(d, 0) + c1 * c2
-            series = {k_: v for k_, v in out.items() if v != 0}
-
-    return {key: Fraction(series.get(key, 0)) for key in _table_keys(nmax)}
+            factor = {(k * m1, k * m2): {(): [(-1) ** k * _binomial(expo, k)]}
+                      for k in range(nmax // m1 + 1)}
+            series = _times(series, factor, nmax, nmax, 0, ())
+    return {key: Fraction(series[key][()][0] if key in series else 0) for key in _table_keys(nmax)}
 
 
 def theorem7_check(

@@ -46,8 +46,8 @@ class TestNestedTangentChar:
     def test_signed_rank_is_n1_plus_n2(self):
         for n1 in range(5):
             for n2 in range(n1 + 1):
-                for pair in nested_pairs(n1, n2):
-                    v = nested_tangent_char(box_char(pair.outer), box_char(pair.inner))
+                for outer, inner in nested_pairs(n1, n2):
+                    v = nested_tangent_char(box_char(outer), box_char(inner))
                     assert v.signed_rank() == n1 + n2
 
     def test_diagonal_reduces_to_hilbert_tangent(self):

@@ -1,10 +1,10 @@
 import re
-import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import nesthilb.integrate as integrate_module
 from nesthilb import toric
 from nesthilb.charalg import Weight
 from nesthilb.errors import NonConstantSum
@@ -330,7 +330,7 @@ class TestNoSubstitution:
         def refuse(*args):
             raise RuntimeError("integrate substituted a local term")
 
-        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "substitute_chart", refuse)
+        monkeypatch.setattr(integrate_module, "substitute_chart", refuse)
         res = integrate(S, n1, n2, spec)
         assert (res.values, res.config_counts) == (expected.values, expected.config_counts)
 

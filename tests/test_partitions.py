@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from nesthilb.errors import InvalidNesting
 from nesthilb.partitions import (
     EMPTY,
-    NestedPair,
     Partition,
     box_char,
     nested_pairs,
@@ -43,7 +42,7 @@ def monomial_ideal(mu, bound):
 
 class TestPartition:
     def test_empty_partition(self):
-        assert partitions_of(0) == [EMPTY]
+        assert partitions_of(0) == (EMPTY,)
         assert EMPTY.size == 0
 
     def test_p4(self):
@@ -65,6 +64,10 @@ class TestPartition:
         parts = [p.parts for p in partitions_of(5)]
         assert parts == sorted(parts, reverse=True)
 
+    def test_each_partition_is_built_once(self):
+        assert partitions_of(6) is partitions_of(6)
+        assert partitions_of(0)[0] is EMPTY
+
     def test_invalid_parts_rejected(self):
         with pytest.raises(ValueError):
             Partition((1, 2))
@@ -74,11 +77,11 @@ class TestPartition:
 
 class TestNestedPairs:
     def test_single_box(self):
-        assert nested_pairs(1, 0) == [NestedPair(Partition((1,)), EMPTY)]
+        assert nested_pairs(1, 0) == [(Partition((1,)), EMPTY)]
 
     def test_two_one(self):
         pairs = nested_pairs(2, 1)
-        assert [(p.outer.parts, p.inner.parts) for p in pairs] == [
+        assert [(outer.parts, inner.parts) for outer, inner in pairs] == [
             ((2,), (1,)),
             ((1, 1), (1,)),
         ]
@@ -98,7 +101,7 @@ class TestNestedPairs:
         for n in range(7):
             pairs = nested_pairs(n, n)
             assert len(pairs) == len(partitions_of(n))
-            assert all(p.outer == p.inner for p in pairs)
+            assert all(outer == inner for outer, inner in pairs)
 
     def test_empty_inner(self):
         for n in range(7):
@@ -114,7 +117,26 @@ class TestNestedPairs:
                     for mu2 in partitions_of(n2)
                     if mu1.contains(mu2)
                 ]
-                assert [(p.outer, p.inner) for p in nested_pairs(n1, n2)] == expected
+                assert nested_pairs(n1, n2) == expected
+
+    def test_pairs_are_the_cached_partitions_with_one_containment_test_each(self, monkeypatch):
+        calls = []
+        contains = Partition.contains
+
+        def counted(self, other):
+            calls.append(1)
+            return contains(self, other)
+
+        monkeypatch.setattr(Partition, "contains", counted)
+        for n1 in range(7):
+            for n2 in range(n1 + 1):
+                calls.clear()
+                pairs = nested_pairs(n1, n2)
+                assert len(calls) == len(partitions_of(n1)) * len(partitions_of(n2))
+                outers, inners = map(set, zip(*pairs))
+                # objects from partitions_of, not rebuilt copies
+                assert {id(p) for p in outers} <= {id(p) for p in partitions_of(n1)}
+                assert {id(p) for p in inners} <= {id(p) for p in partitions_of(n2)}
 
     def test_invalid_nesting_raises(self):
         with pytest.raises(InvalidNesting):

@@ -47,6 +47,13 @@ def test_non_constant_values_are_listed_with_their_points():
         assert text in message
 
 
+def test_a_third_point_that_differs_alone_is_caught():
+    draw = points((1, 2), (3, 4), (5, 6))
+    with pytest.raises(NonConstantSum) as info:
+        certified_value(lambda x, y: 3 if x == 5 else 1, draw, 3, WHERE)
+    assert "1 at (1, 2), 1 at (3, 4), 3 at (5, 6)" in str(info.value)
+
+
 def test_non_constant_table_names_the_entry_that_moved():
     draw = points((1, 2), (3, 4), (3, 5))
     with pytest.raises(NonConstantSum) as info:

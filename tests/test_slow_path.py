@@ -18,7 +18,6 @@ are checked against the Koszul formulas: ring products of box characters,
 their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 """
 
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nesthilb.integrate as integrate_module
 from nesthilb.charalg import Character, Weight, chern_useries
 from nesthilb.errors import InconsistentTangent
 from nesthilb.fixedchar import (
@@ -226,7 +226,7 @@ class TestArmLegAgainstKoszul:
         pairs = [pr for a in range(9) for b in range(min(a, 7) + 1) for pr in nested_pairs(a, b)]
         assert len(pairs) == 840
         for pr in pairs:
-            Z1, Z2 = box_char(pr.outer), box_char(pr.inner)
+            Z1, Z2 = map(box_char, pr)
             assert nested_tangent_char(Z1, Z2) == koszul_nested_tangent(Z1, Z2), pr
 
     def test_em_and_hilb_tangent_on_every_pair_up_to_size_6(self):
@@ -436,7 +436,7 @@ class TestTopDegreeRead:
         def virtual_tangent(Z1, Z2, f):
             return nested_tangent_char(Z1, Z2)
 
-        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "_local_factor", virtual_tangent)
+        monkeypatch.setattr(integrate_module, "_local_factor", virtual_tangent)
         S, spec = surface_p2(), IntegrandSpec("nested", (total_chern_em(),))
         local = _local_terms(spec, 3, 1)
         assert any(m < 0 for terms in local.values() for _, (c,) in terms for m in c.terms.values())
@@ -547,7 +547,7 @@ class TestTopFactorAtRank:
         def virtual_tangent(Z1, Z2, f):
             return nested_tangent_char(Z1, Z2)
 
-        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "_local_factor", virtual_tangent)
+        monkeypatch.setattr(integrate_module, "_local_factor", virtual_tangent)
         S, spec = surface_p2(), IntegrandSpec("nested", (top_chern_em(),))
         local = _local_terms(spec, 3, 1)
         assert any(m < 0 for terms in local.values() for _, (c,) in terms for m in c.terms.values())
@@ -571,7 +571,7 @@ def show(pairs):
 def _defect(outer, inner, extra):
     """A local tangent with ``extra`` added at the one local pair (outer, inner)."""
     chars = (box_char(Partition(outer)), box_char(Partition(inner)))
-    real = sys.modules["nesthilb.integrate"]._local_tangent
+    real = integrate_module._local_tangent
 
     def tangent(Z1, Z2, mode):
         t = real(Z1, Z2, mode)
@@ -598,7 +598,7 @@ DEFECTS = {
 )
 def test_case3_class_counts_match_the_oracle(S, defect, monkeypatch):
     if DEFECTS[defect]:
-        monkeypatch.setattr(sys.modules["nesthilb.integrate"], "_local_tangent", DEFECTS[defect]())
+        monkeypatch.setattr(integrate_module, "_local_tangent", DEFECTS[defect]())
     classes, witness = tangent_classes(S, 4, 3)
     first_failure = None
     configs = 0

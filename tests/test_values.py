@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from nesthilb.charalg import Weight
-from nesthilb.errors import DependentChartWeights, InvalidNesting
+from nesthilb.errors import DependentChartWeights
 from nesthilb.fixedchar import FixedConfig
 from nesthilb.integrate import Factor, IntegrandSpec, InvariantResult, total_chern_em
-from nesthilb.partitions import NestedPair, Partition
+from nesthilb.partitions import Partition
 from nesthilb.toric import (
     EquivariantLineBundle,
     FixedPointChart,
@@ -29,8 +29,6 @@ def zero_weights():
 # (class, fields, one field changed); each instance is built from fresh field values
 CASES = [
     (Partition, lambda: {"parts": (2, 1)}, {"parts": (3,)}),
-    (NestedPair, lambda: {"outer": Partition((2, 1)), "inner": Partition((1,))},
-     {"inner": Partition(())}),
     (FixedPointChart, lambda: {"w1": Weight(1, 0), "w2": Weight(0, 1)}, {"w2": Weight(1, 1)}),
     (EquivariantLineBundle, lambda: {"label": "O", "weights": zero_weights(), "surface": surface_p2()},
      {"label": "L"}),
@@ -74,12 +72,10 @@ def test_canonical_bundle_is_built_once_across_equal_surfaces():
         (lambda: ToricSurfaceDescriptor("two", surface_p2().charts[:2]), ValueError,
          "a projective toric surface has at least 3 fixed points"),
         (lambda: IntegrandSpec("bogus"), ValueError, "unknown mode 'bogus'"),
-        (lambda: NestedPair(Partition((1, 1)), Partition((2,))), InvalidNesting,
-         "Partition([2]) not contained in Partition([1, 1])"),
         (lambda: FixedPointChart(Weight(1, 2), Weight(-2, -4)), DependentChartWeights,
          "chart weights Weight(a=1, b=2), Weight(a=-2, b=-4)"),
     ],
-    ids=["two-charts", "bogus-mode", "not-nested", "parallel-weights"],
+    ids=["two-charts", "bogus-mode", "parallel-weights"],
 )
 def test_refusals(make, error, message):
     with pytest.raises(error) as info:
@@ -98,7 +94,4 @@ def test_reprs_show_the_fields_in_order():
     assert repr(IntegrandSpec("nested", (total_chern_em(),))) == (
         "IntegrandSpec(mode='nested', factors=(Factor(kind='total', klass='em', bundle=None, "
         "k=None, slot=None),))"
-    )
-    assert repr(NestedPair(Partition((2, 1)), Partition((1,)))) == (
-        "NestedPair(outer=Partition([2, 1]), inner=Partition([1]))"
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import nesthilb.integrate as integrate_module
 import nesthilb.verify
 from nesthilb.charalg import Character
 from nesthilb.cli import main, run_checks
@@ -227,7 +228,6 @@ class TestHilbertSchemeReduction:
         # verify's own binding serves the nested side; integrate_hilb looks
         # up the integrate module's
         calls = []
-        integrate_module = sys.modules["nesthilb.integrate"]
         real = integrate_module.integrate
 
         def counted(*args, **kwargs):
@@ -250,8 +250,6 @@ class TestDimensionConsistency:
         assert r.configs_evaluated == 3 + 12 + 39
 
     def test_failure_names_the_configuration(self, monkeypatch, capsys):
-        # the package attribute nesthilb.integrate is the function
-        integrate_module = sys.modules["nesthilb.integrate"]
         real = integrate_module._local_tangent
 
         def one_weight_short(Z1, Z2, mode):
@@ -311,6 +309,22 @@ class TestProductSeriesGoldens:
     def test_integrality_enforced(self):
         table = zprod_table(surface_p2(), canonical_bundle(surface_p2()), 1)
         assert all(v.denominator == 1 for v in table.values.values())
+
+    def test_non_integral_value_is_refused(self, monkeypatch, capsys):
+        real = nesthilb.verify.integrate
+
+        def halved(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return res._replace(values={**res.values, (1, 1): Fraction(1, 2)})
+
+        monkeypatch.setattr(nesthilb.verify, "integrate", halved)
+        S = surface_p2()
+        message = "non-integral zprod 1/2 on p2 at (1, 1)"
+        with pytest.raises(NestHilbError) as err:
+            zprod_table(S, canonical_bundle(S), 1)
+        assert str(err.value) == message
+        assert main(["--surface", "p2", "--check", "zprod", "--nmax", "1"]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestInvalidSizes:
