@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DependentChartWeights, SpecializationPole, VirtualCharacter, ZeroWeightInTangent
@@ -132,8 +131,8 @@ def substitute_chart(p: Character, w1: Weight, w2: Weight) -> Character:
 
 
 def _require_int_point(x, y) -> None:
-    # ``//`` on a Fraction floors instead of failing, so a rational point
-    # would give a silently wrong series: refuse it here.
+    # A Fraction point, even an integral one, would turn the int series
+    # coefficients into Fractions that no caller expects: refuse it here.
     if type(x) is not int or type(y) is not int:
         raise TypeError(f"specialization point must be a pair of ints, got ({x!r}, {y!r})")
 
@@ -202,25 +201,30 @@ def chern_useries(c: Character, x: int, y: int, cutoff: int, twist: int = 0) -> 
     """Total equivariant Chern class of c ⊗ L at the integer point (x, y),
     graded by u, where ``twist`` is the value of L's weight at (x, y).
 
-    Returns the truncated product over weights w of (1 + u*w')^mult with
-    w' = w(x,y) + twist; the u^k coefficient is the k-th Chern class of
-    c ⊗ L at the specialization.  Negative multiplicities expand as power
-    series.  The coefficients e_k come from the power sums p_k = sum mult *
-    w'^k by Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i;
-    every e_k is an integer, so the division by k is exact.
+    Returns the product over weights w of (1 + u*w')^mult with
+    w' = w(x,y) + twist, truncated at u^cutoff; the u^k coefficient is the
+    k-th Chern class of c ⊗ L at the specialization.  It is a running
+    product: a positive multiplicity multiplies by (1 + u*w') up to the
+    highest degree reached so far, so an effective c stops at its rank; a
+    negative one divides by (1 + u*w') as a power series up to the cutoff.
+    Integer sums and products only, with no integer division.
     """
     _require_int_point(x, y)
-    # q[k] = (-1)^(k-1) p_k: the signs of Newton's identities folded in
-    q = [0] * (cutoff + 1)
-    for (a, b), m in c.terms.items():
-        v = -a * x - b * y - twist
-        power = -m
-        for k in range(1, cutoff + 1):
-            power *= v
-            q[k] += power
+    if cutoff < 0:
+        raise ValueError(f"u-series cutoff must be >= 0, got {cutoff}")
     e = [1] + [0] * cutoff
-    for k in range(1, cutoff + 1):
-        e[k] = sum(map(mul, reversed(e[:k]), q[1 : k + 1])) // k
+    top = 0  # the highest degree reached so far
+    for (a, b), m in c.terms.items():
+        v = a * x + b * y + twist
+        for _ in range(abs(m)):
+            if m > 0:  # times (1 + u v)
+                top = min(top + 1, cutoff)
+                for k in range(top, 0, -1):
+                    e[k] += v * e[k - 1]
+            else:  # divided by (1 + u v)
+                top = cutoff
+                for k in range(1, cutoff + 1):
+                    e[k] -= v * e[k - 1]
     return USeries(e, cutoff)
 
 

@@ -229,8 +229,31 @@ class TestChernSeries:
         for w, m in negative.items():
             assert f"{w}: {m}" in str(err.value)
 
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 3), max_size=5
+        ).map(Character),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_effective_series_is_zero_above_its_rank(self, c, x, y, twist):
+        # at every cutoff from the rank on, the series is the one at the
+        # rank padded with zeros, the degree-rank coefficient included
+        r = c.signed_rank()
+        at_rank = chern_useries(c, x, y, r, twist).coeffs
+        assert at_rank[r] == top_chern_value(c, x, y, twist)
+        for cutoff in range(r, r + 4):
+            assert chern_useries(c, x, y, cutoff, twist).coeffs == at_rank + [0] * (cutoff - r)
+
+    @pytest.mark.parametrize("c", [Character(), Character({(1, 0): 2})], ids=["empty", "rank-2"])
+    def test_negative_cutoff_is_refused(self, c):
+        with pytest.raises(ValueError, match=r"^u-series cutoff must be >= 0, got -1$"):
+            chern_useries(c, 2, 5, -1)
+
     def test_rational_point_rejected(self):
-        # floor division on a Fraction would give a silently wrong series
+        # a Fraction point would give Fraction coefficients in an int series
         c = Character({(1, 0): 1})
         with pytest.raises(TypeError, match="pair of ints"):
             chern_useries(c, Fraction(3, 2), 5, 2)

@@ -1,10 +1,13 @@
 """The integer vertex product against an independent Fraction slow path.
 
 The slow path expands prod (1 + u*w(x, y))^m by multiplying or dividing
-by (1 + u*w(x, y)) one factor at a time over the rationals, takes the
-Euler class as a product of Fraction powers, reads top degrees off the
-signed ranks of the characters, and sums the localization formula over
-every global configuration of ``enumerate_configs`` at rational points.
+by (1 + u*w(x, y)) one factor at a time over the rationals.  The engine's
+integer Chern series runs the same product, so it is also checked against
+Newton's identities on power sums, which share no step with it.  The slow
+path takes the Euler class as a product of Fraction powers, reads top
+degrees off the signed ranks of the characters, and sums the
+localization formula over every global configuration of
+``enumerate_configs`` at rational points.
 It shares only the character formulas with the engine, which multiplies
 one local factor per fixed point instead.  case3's class counts are
 checked the same way, against the classes of every enumerated
@@ -72,11 +75,13 @@ from nesthilb.verify import case3_check
 RATIONAL_POINT = (Fraction(7919, 13), Fraction(104729, 17))
 
 
-def reference_chern(c: Character, x: Fraction, y: Fraction, cutoff: int) -> list[Fraction]:
-    """Coefficients of prod (1 + u*w(x, y))^m up to u^cutoff."""
+def reference_chern(
+    c: Character, x: Fraction, y: Fraction, cutoff: int, twist: Fraction = Fraction(0)
+) -> list[Fraction]:
+    """Coefficients of prod (1 + u*(w(x, y) + twist))^m up to u^cutoff."""
     out = [Fraction(1)] + [Fraction(0)] * cutoff
     for (a, b), m in c.terms.items():
-        v = a * x + b * y
+        v = a * x + b * y + twist
         for _ in range(abs(m)):
             if m > 0:  # times (1 + u v)
                 out = [out[0]] + [out[k] + v * out[k - 1] for k in range(1, cutoff + 1)]
@@ -86,6 +91,23 @@ def reference_chern(c: Character, x: Fraction, y: Fraction, cutoff: int) -> list
                     quotient.append(out[k] - v * quotient[k - 1])
                 out = quotient
     return out
+
+
+def newton_chern(c: Character, x: int, y: int, cutoff: int, twist: int = 0) -> list[int]:
+    """The same coefficients e_k from the power sums p_k = sum m * w'^k,
+    w' = w(x, y) + twist, by Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i; each division is exact."""
+    p = [0] * (cutoff + 1)
+    for (a, b), m in c.terms.items():
+        v = a * x + b * y + twist
+        for k in range(1, cutoff + 1):
+            p[k] += m * v**k
+    e = [1] + [0] * cutoff
+    for k in range(1, cutoff + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        assert total % k == 0, (k, total)
+        e[k] = total // k
+    return e
 
 
 def reference_euler(c: Character, x: Fraction, y: Fraction) -> Fraction:
@@ -154,6 +176,24 @@ class TestChernSeriesAgainstReference:
     def test_matches_direct_expansion(self, c, x, y, cutoff):
         fast = chern_useries(c, x, y, cutoff).coeffs
         assert fast == reference_chern(c, Fraction(x), Fraction(y), cutoff)
+        assert all(type(e) is int for e in fast)
+
+    @given(
+        global_chars(),
+        st.integers(-200, 200),
+        st.integers(-200, 200),
+        st.integers(-60, 60).filter(bool),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(Character({(1, 0): 2, (0, 1): -1}), 3, 5, 4, 12)
+    @example(Character({(1, -1): -3, (2, 1): 1}), 7, 2, -9, 0)
+    @example(Character({(1, 1): -2, (1, 0): 3}), -4, 1, 3, 12)
+    def test_twisted_series_matches_both_oracles(self, c, x, y, twist, cutoff):
+        # negative multiplicities included; a twisted weight may vanish
+        fast = chern_useries(c, x, y, cutoff, twist).coeffs
+        assert fast == newton_chern(c, x, y, cutoff, twist)
+        assert fast == reference_chern(c, Fraction(x), Fraction(y), cutoff, Fraction(twist))
         assert all(type(e) is int for e in fast)
 
 
