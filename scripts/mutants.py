@@ -49,6 +49,22 @@ CATALOGUE = [
      "_NPOINTS = 3",
      "_NPOINTS = 1",
      "integrate certifies a sum from one specialization point"),
+    ("src/nesthilb/integrate.py",
+     "if k1[0] + k2[0] > n1",
+     "if k1[0] + k2[0] >= n1",
+     "_times drops every product term at the outer size n1"),
+    ("src/nesthilb/integrate.py",
+     "series = grid.get(key + degrees)",
+     "series = grid.get(key)",
+     "_read ignores the v-degrees that an entry reads"),
+    ("src/nesthilb/integrate.py",
+     "if (r := tuple(map(sub, rest, local))) in before",
+     "if (r := tuple(map(sub, rest, local))) in before or True",
+     "_witness accepts a local term whose remainder no earlier chart product holds"),
+    ("src/nesthilb/toric.py",
+     "_PAIRING_NPOINTS = 2",
+     "_PAIRING_NPOINTS = 1",
+     "intersect certifies a pairing from one specialization point"),
     ("src/nesthilb/sampling.py",
      "for v in values[1:])",
      "for v in values[1:2])",

@@ -232,6 +232,7 @@ def top_chern_value(c: Character, x: int, y: int, twist: int = 0) -> int:
     """The u^rank coefficient of ``chern_useries`` for an effective c: the
     product of w'^mult; a vanishing w' = w(x, y) + twist gives 0, no pole.
     A virtual c has no such value and raises ``VirtualCharacter``."""
+    _require_int_point(x, y)
     try:
         value = prod((a * x + b * y + twist) ** m for (a, b), m in c.terms.items())
     except ZeroDivisionError:  # 0 ** m with m < 0

@@ -12,19 +12,20 @@ summand is a product of local terms and a whole table is one product
                             of q1^a q2^b c(E_p) / e(T_p),
 
 whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  "Total" factors are
-graded by u; each "top" or "index" factor by a variable of its own, so
-that its kept degree is selected globally.  An effective Chern series
-stops at its rank.  So an effective top factor (theorem5's product side,
-case2's Hilbert side) is read at its rank: one value per local term, its
-top Chern value; only index and virtual top factors expand a series in
-their variable.  If all factors are total and effective and their ranks
-add up to vdim (theorem7, zprod, the nested sides), each local term is
-read at its top degree, as one integer.  Nothing here sums over
-configurations: the configuration sum (``enumerate_configs``,
+graded by u; each "top" or "index" factor by a variable v_j of its own, so
+that its kept degree is selected globally.  Z_p is one flat grid of u-series
+keyed by (a, b, v-degrees), and products cut it at the sizes and in u only:
+v-degrees only add.  An effective Chern series stops at its rank.  So an
+effective top factor (theorem5's product side, case2's Hilbert side) is read
+at its rank: one value per local term, its top Chern value; only index and
+virtual top factors expand a series in their variable.  If all factors are
+total and effective and their ranks add up to vdim (theorem7, zprod, the
+nested sides), each local term is read at its top degree, as one integer.
+Nothing here sums over configurations: that sum (``enumerate_configs``,
 ``_tangent_character``, ``_factor_character``) is the tests' brute-force
-oracle and the only user of ``substitute_chart``.  It stays in the
-package because the benchmark trace (``perfbench/tracing.py`` ``SITES``)
-binds ``enumerate_configs``, ``_tangent_character`` and ``substitute_chart``.
+oracle and the only user of ``substitute_chart``, kept in the package
+because the benchmark trace (``perfbench/tracing.py`` ``SITES``) binds all
+of it but ``_factor_character``.
 
 Z is evaluated exactly at several seeded random integer points, which
 must agree.  That is exact because every summand is homogeneous of
@@ -42,7 +43,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
 from math import lcm, prod
-from operator import add, gt
+from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .charalg import Character, Slotted, USeries, Weight, chern_useries, euler_value
@@ -190,9 +191,9 @@ class _Grading(NamedTuple):
     """Which coefficient of the vertex product each table entry reads.
 
     Total factors are graded by u; each top or index factor by its own
-    variable v_j, kept up to caps[j].  Entry (a, b) reads v^degrees u^k
-    with k = vdim(a, b) - sum(degrees); a negative k reads 0.  A factor
-    flagged in at_rank adds only its rank to v_j on each local term.
+    variable v_j, its local series cut at caps[j].  Entry (a, b) reads
+    v^degrees u^k, k = vdim(a, b) - sum(degrees); a negative k reads 0.
+    A factor flagged in at_rank adds only its rank to v_j per local term.
     """
 
     reads: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # by entry, in order
@@ -270,9 +271,9 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
     )
 
 
-# a grid maps local or global sizes (a, b) to a series in (v_1.., u):
-# {v exponents: [u^0 .. u^ucut coefficients]}
-_Grid = dict[tuple[int, int], dict[tuple[int, ...], list[int]]]
+# a grid maps local or global sizes and v exponents (a, b, v_1, ..) to
+# the coefficients [u^0 .. u^ucut] of that monomial's u-series
+_Grid = dict[tuple[int, ...], list[int]]
 
 
 def _chart_grid(
@@ -295,17 +296,16 @@ def _chart_grid(
     eulers = {key: [euler_value(t, X, Y) for t, _ in ts] for key, ts in local.items()}
     den = lcm(*(e.numerator for es in eulers.values() for e in es))
     if grading.top:
-        return den, {key: {(): [sum(
+        return den, {key: [sum(
             den // e.numerator * e.denominator
             * prod(top_chern_value(c, X, Y, t) for c, t in zip(chars, twists))
             for (_, chars), e in zip(ts, eulers[key])
-        )]} for key, ts in local.items()}
+        )] for key, ts in local.items()}
     grid: _Grid = {}
     for key, ts in local.items():
-        series: dict[tuple[int, ...], list[int]] = {}
         for (_, chars), e in zip(ts, eulers[key]):
             u = USeries.one(ucut)
-            parts = [((), den // e.numerator * e.denominator)]
+            parts = [(key, den // e.numerator * e.denominator)]
             caps = iter(grading.caps)
             for char, f, twist, at_rank in zip(chars, spec.factors, twists, grading.at_rank):
                 if f.kind == "total":
@@ -317,31 +317,24 @@ def _chart_grid(
                     cs = chern_useries(char, X, Y, next(caps), twist).coeffs
                     parts = [(d + (j,), c * cj) for d, c in parts for j, cj in enumerate(cs) if cj]
             for d, c in parts:
-                acc = series.setdefault(d, [0] * (ucut + 1))
+                acc = grid.setdefault(d, [0] * (ucut + 1))
                 for k, uk in enumerate(u.coeffs):
                     acc[k] += c * uk
-        grid[key] = series
     return den, grid
 
 
-def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int, caps: tuple[int, ...]) -> _Grid:
-    """Product of two grids, truncated at (n1, n2), at caps in v and at ucut in u."""
+def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int) -> _Grid:
+    """Product of two grids, truncated at (n1, n2) and at ucut in u."""
     out: _Grid = {}
-    for (a1, b1), s in g.items():
-        for (a2, b2), t in h.items():
-            if a1 + a2 > n1 or b1 + b2 > n2:
+    for k1, p in g.items():
+        for k2, q in h.items():
+            if k1[0] + k2[0] > n1 or k1[1] + k2[1] > n2:
                 continue
-            acc = out.setdefault((a1 + a2, b1 + b2), {})
-            for d1, p in s.items():
-                for d2, q in t.items():
-                    d = tuple(map(add, d1, d2))
-                    if any(map(gt, d, caps)):
-                        continue
-                    r = acc.setdefault(d, [0] * (ucut + 1))
-                    for i, c in enumerate(p):
-                        if c:
-                            for j in range(ucut + 1 - i):
-                                r[i + j] += c * q[j]
+            r = out.setdefault(tuple(map(add, k1, k2)), [0] * (ucut + 1))
+            for i, c in enumerate(p):
+                if c:
+                    for j in range(ucut + 1 - i):
+                        r[i + j] += c * q[j]
     return out
 
 
@@ -351,7 +344,7 @@ def _evaluate(
     """Every entry of the vertex product Z = prod_p Z_p at (x, y)."""
     charts = range(len(S.charts))
     dens, grids = zip(*(_chart_grid(local, S, i, x, y, spec, grading) for i in charts))
-    times = partial(_times, n1=grading.n1, n2=grading.n2, ucut=grading.ucut, caps=grading.caps)
+    times = partial(_times, n1=grading.n1, n2=grading.n2, ucut=grading.ucut)
     product = reduce(times, grids)
     return {key: Fraction(_read(product, key, grading), prod(dens)) for key in grading.reads}
 
@@ -359,30 +352,28 @@ def _evaluate(
 def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
     """The coefficient that entry ``key`` reads from ``grid``."""
     degrees, k = grading.reads[key]
-    series = grid[key].get(degrees)
+    series = grid.get(key + degrees)
     return series[k] if series and k >= 0 else 0
 
 
 def _config_counts(local: _Terms, nfixed: int, grading: _Grading) -> dict[tuple[int, int], int]:
     """Configurations per entry: the vertex product with unit weights."""
-    units = repeat({key: {(): [len(ts)]} for key, ts in local.items()}, nfixed)
-    product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0, caps=()), units)
-    return {key: product[key][()][0] for key in grading.reads}
+    units = repeat({key: [len(ts)] for key, ts in local.items()}, nfixed)
+    product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0), units)
+    return {key: product[key][0] for key in grading.reads}
 
 
 def _witness(products: list[_Grid], witnesses: dict, key: tuple[int, int], cls: tuple) -> list:
     """A configuration of sizes ``key`` and tangent class ``cls``, one pair
     per chart, rebuilt by backtracking through the chart products."""
-    pairs = []
+    rest, pairs = key + cls, []
     for before in reversed(products[:-1]):
-        key, cls, pair = next(
-            ((key[0] - a, key[1] - b), (cls[0] - r, cls[1] - z), pair)
-            for (a, b), classes in witnesses.items()
-            for (r, z), pair in classes.items()
-            if (cls[0] - r, cls[1] - z) in before.get((key[0] - a, key[1] - b), {})
+        rest, pair = next(
+            (r, pair) for local, pair in witnesses.items()
+            if (r := tuple(map(sub, rest, local))) in before
         )
         pairs.append(pair)
-    return [witnesses[key][cls], *reversed(pairs)]
+    return [witnesses[rest], *reversed(pairs)]
 
 
 def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, Callable]:
@@ -399,19 +390,19 @@ def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, 
     """
     if n2 < 0 or n1 < n2:
         raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode 'nested'")
-    local: _Grid = {}
+    local: _Grid = {}  # by (a, b, signed rank, zero multiplicity)
     witnesses: dict = {}
     for key in ((a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1)):
         for pair, Z1, Z2 in local_pair_chars(*key, "nested"):
             t = _local_tangent(Z1, Z2, "nested")
-            cls = (t.signed_rank(), t.zero_multiplicity())
-            local.setdefault(key, {}).setdefault(cls, [0])[0] += 1
-            witnesses.setdefault(key, {}).setdefault(cls, pair)
-    # _times drops classes above caps; each sums one local class per chart
-    cap = len(S.charts) * max(abs(v) for classes in local.values() for cls in classes for v in cls)
-    times = partial(_times, n1=n1, n2=n2, ucut=0, caps=(cap, cap))
+            flat = (*key, t.signed_rank(), t.zero_multiplicity())
+            local.setdefault(flat, [0])[0] += 1
+            witnesses.setdefault(flat, pair)
+    times = partial(_times, n1=n1, n2=n2, ucut=0)
     products = list(accumulate(repeat(local, len(S.charts)), times))  # over charts 0..k
-    counts = {key: {cls: c for cls, (c,) in cs.items()} for key, cs in products[-1].items()}
+    counts: dict = {}
+    for (a, b, *cls), (c,) in products[-1].items():
+        counts.setdefault((a, b), {})[tuple(cls)] = c
     return counts, partial(_witness, products, witnesses)
 
 

@@ -89,15 +89,15 @@ def theorem7_rhs(
         raise NestHilbError(f"non-integral A={A}, B={B} on {S.name} bundle {M.label}")
     A, B = A.numerator, B.numerator
 
-    # the vertex product's grids, with one empty v-degree and u cut at 0;
-    # every factor has m2 <= m1, so a cut at (nmax, nmax) loses nothing
-    series = {(0, 0): {(): [1]}}
+    # the vertex product's grids, with no v-degree and u cut at 0; every
+    # factor has m2 <= m1, so a cut at (nmax, nmax) loses nothing
+    series = {(0, 0): [1]}
     for n in range(1, nmax + 1):
         for (m1, m2), expo in (((n, n - 1), A), ((n, n), B)):
-            factor = {(k * m1, k * m2): {(): [(-1) ** k * _binomial(expo, k)]}
+            factor = {(k * m1, k * m2): [(-1) ** k * _binomial(expo, k)]
                       for k in range(nmax // m1 + 1)}
-            series = _times(series, factor, nmax, nmax, 0, ())
-    return {key: Fraction(series[key][()][0] if key in series else 0) for key in _table_keys(nmax)}
+            series = _times(series, factor, nmax, nmax, 0)
+    return {key: Fraction(series.get(key, [0])[0]) for key in _table_keys(nmax)}
 
 
 def theorem7_check(

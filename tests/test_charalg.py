@@ -260,6 +260,15 @@ class TestChernSeries:
         with pytest.raises(TypeError, match="pair of ints"):
             chern_useries(c, Fraction(3), 5, 2)
 
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(3), 1.0], ids=["half", "three", "float"])
+    def test_top_chern_value_rational_point_rejected(self, x):
+        # refused as a point, not as a virtual character
+        c = Character({(1, 0): 1})
+        with pytest.raises(TypeError, match="pair of ints"):
+            top_chern_value(c, x, 1)
+        with pytest.raises(TypeError, match="pair of ints"):
+            top_chern_value(c, 1, x)
+
 
 class TestUSeries:
     def test_truncated_multiplication(self):

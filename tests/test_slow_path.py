@@ -23,6 +23,7 @@ their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,7 @@ from nesthilb.integrate import (
     _local_terms,
     _read,
     _tangent_character,
+    _times,
     _twist,
     chern_index_em,
     integrate,
@@ -533,6 +535,27 @@ class TestTopFactorAtRank:
             assert fast == res.values
         for (a, b), value in res.values.items():
             assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+
+    @pytest.mark.parametrize("label,n1,n2", [("product-total-top", 3, 3), ("hilb-taut-top", 4, 0)])
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_chart_product_holds_only_the_read_v_degrees(self, S, M, label, n1, n2):
+        # theorem5's and case2's product sides: the top factor's local ranks
+        # add up over the charts to its entry's rank, so every key of the
+        # chart product is (a, b) plus the v-degrees that entry reads, and
+        # the product needs no cut in v; keys with b > a may drop out, as
+        # the untwisted em's top Chern value is 0 unless Z2 lies in Z1
+        spec, _, _ = AT_RANK_SPECS[label](M, canonical_bundle(S))
+        local = _local_terms(spec, n1, n2)
+        grading = _grading(spec, local)
+        assert grading.at_rank == (False, True)
+        assert all(degrees for degrees, _ in grading.reads.values())
+        x, y = integrate(S, n1, n2, spec).specializations[0]  # pole-free
+        grids = [_chart_grid(local, S, i, x, y, spec, grading)[1] for i in range(len(S.charts))]
+        product = reduce(partial(_times, n1=n1, n2=n2, ucut=grading.ucut), grids)
+        read = {key + degrees for key, (degrees, _) in grading.reads.items()}
+        assert {key for key in read if key[1] <= key[0]} <= set(product) <= read
 
     def test_vanishing_top_weight_is_a_zero_not_a_pole(self):
         # at (1, 4) chart 1 of p2 projects to (X, Y) = (3, -1) and M's

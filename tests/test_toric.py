@@ -9,7 +9,7 @@ import pytest
 from nesthilb import toric
 from nesthilb.charalg import Weight
 from nesthilb.cli import main
-from nesthilb.errors import WrongCoefficientCount
+from nesthilb.errors import NonConstantSum, WrongCoefficientCount
 from nesthilb.toric import (
     EquivariantLineBundle,
     _check_edges,
@@ -161,6 +161,19 @@ class TestIntersect:
         S = surface_p2()
         K = canonical_bundle(S)
         assert intersect(S, K, K, seed=1) == intersect(S, K, K, seed=99)
+
+    @pytest.mark.parametrize("seed", [0, 1, 99])
+    def test_bundle_off_the_edges_is_not_constant(self, seed):
+        # weights that fail the GKM check, made past it: the localization
+        # sum is x/y, which moves with the point, so no pairing is returned
+        S = surface_p2()
+        bad = object.__new__(EquivariantLineBundle)
+        bad.label, bad.weights, bad.surface = "bad", (Weight(1, 0), Weight(0, 0), Weight(0, 0)), S
+        with pytest.raises(ValueError):
+            EquivariantLineBundle("bad", bad.weights, S)
+        with pytest.raises(NonConstantSum, match=r"^localization sum not constant on p2 pairing "
+                                                 r"<bad, bad>: "):
+            intersect(S, bad, bad, seed=seed)
 
 
 DESCRIPTOR = {
