@@ -58,6 +58,14 @@ CATALOGUE = [
      "series = grid.get(key)",
      "_read ignores the v-degrees that an entry reads"),
     ("src/nesthilb/integrate.py",
+     "f.bundle is None and (grading.top",
+     "(grading.top",
+     "_nonzero_terms drops terms of twisted factors, such as case2's taut(K) top factor"),
+    ("src/nesthilb/integrate.py",
+     "(grading.top or grading.at_rank[j])",
+     "True",
+     "_nonzero_terms drops terms of a factor not read at top degree (a total em by an index)"),
+    ("src/nesthilb/integrate.py",
      "if (r := tuple(map(sub, rest, local))) in before",
      "if (r := tuple(map(sub, rest, local))) in before or True",
      "_witness accepts a local term whose remainder no earlier chart product holds"),

@@ -21,6 +21,12 @@ at its rank: one value per local term, its top Chern value; only index and
 virtual top factors expand a series in their variable.  If all factors are
 total and effective and their ranks add up to vdim (theorem7, zprod, the
 nested sides), each local term is read at its top degree, as one integer.
+A factor read at its top degree with no bundle is 0 at every chart and
+point on a local term whose character holds the weight (0, 0), so such
+terms are dropped before evaluation (``_nonzero_terms``).  The untwisted
+em factor of theorem5's product side and of zprod holds it unless Z2 lies
+in Z1 (Carlsson-Okounkov), so only those pairs are evaluated there;
+configuration counts still count every pair.
 Nothing here sums over configurations: that sum (``enumerate_configs``,
 ``_tangent_character``, ``_factor_character``) is the tests' brute-force
 oracle and the only user of ``substitute_chart``, kept in the package
@@ -241,6 +247,25 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
     return _Grading(reads, *max(local), ucut, caps, False, at_rank)  # largest key: (n1, n2)
 
 
+def _nonzero_terms(spec: IntegrandSpec, local: _Terms, grading: _Grading) -> _Terms:
+    """``local`` without the terms that are 0 at every chart and point, or
+    ``local`` itself when no factor can make one.  A factor read at its
+    top degree (the whole table at top degree, or the factor at its rank)
+    has the product of its weights as its value; with no bundle its twist
+    is 0, so a local character that holds the weight (0, 0) makes it 0."""
+    zero = [
+        j for j, f in enumerate(spec.factors)
+        if f.bundle is None and (grading.top or grading.at_rank[j])
+    ]
+    if not zero:
+        return local
+    nonzero = {
+        key: [term for term in terms if not any(term[1][j].zero_multiplicity() for j in zero)]
+        for key, terms in local.items()
+    }
+    return {key: terms for key, terms in nonzero.items() if terms}
+
+
 def _at_chart(char: Character, chart: FixedPointChart, twist: Weight) -> Character:
     """The oracle's copy of a local term at ``chart``, twisted by ``twist``."""
     return substitute_chart(char, chart.w1, chart.w2) * Character.monomial(*twist)
@@ -289,7 +314,9 @@ def _chart_grid(
     denominator: each local term at the projected point (X, Y) is its
     factor Chern series (an at_rank factor's top Chern value, at v-degree
     its rank), or at top degree their top Chern values, divided by its
-    tangent Euler value, all over one common denominator."""
+    tangent Euler value, all over one common denominator.  ``local`` holds
+    the terms that ``_nonzero_terms`` keeps; a twisted top factor can still
+    be 0 at one point, so zero top Chern values are skipped here too."""
     ucut = grading.ucut
     X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
     twists = [_twist(f, i).value(x, y) for f in spec.factors]
@@ -417,9 +444,10 @@ def integrate(
     S.check_bundles(*(f.bundle for f in spec.factors))
     local = _local_terms(spec, n1, n2)
     grading = _grading(spec, local)
+    nonzero = _nonzero_terms(spec, local, grading)
     rng = make_rng(seed)
     values, points = certified_value(
-        lambda x, y: _evaluate(local, S, x, y, spec, grading),
+        lambda x, y: _evaluate(nonzero, S, x, y, spec, grading),
         lambda: random_point(rng),
         _NPOINTS,
         f"{S.name} ({n1}, {n2}, {spec.mode})",

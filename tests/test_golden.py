@@ -4,7 +4,9 @@ the refactors that must leave them unchanged.
 Most goldens are the output of ``--check all --nmax 2 --seed 7 --output
 json`` for one surface and bundle; the ``*_case3_7`` ones are ``--check
 case3 --nmax 7``, whose ``configs_evaluated`` counts every fixed point of
-the nested Hilbert schemes up to n = 7.  Regenerate one only for a change
+the nested Hilbert schemes up to n = 7; ``p1xp1_0_0_1_0_all_4`` is
+``--check all --nmax 4``, where theorem5's product side and zprod drop
+most local pairs as identically zero.  Regenerate one only for a change
 that is meant to alter the reports, and say so.
 """
 
@@ -30,6 +32,7 @@ CELLS = [
     (f"file:{CUSTOM}", "L", "all", 2, "custom-plane_L"),
     ("p2", "O", "case3", 7, "p2_case3_7"),
     ("p1xp1", "O", "case3", 7, "p1xp1_case3_7"),
+    ("p1xp1", "0,0,1,0", "all", 4, "p1xp1_0_0_1_0_all_4"),
 ]
 
 

@@ -14,7 +14,9 @@ checked the same way, against the classes of every enumerated
 configuration's tangent.  The top-degree read of all-total effective
 integrands is checked against the series path of the same integrand
 times c_0 = 1, and the rank read of an effective top factor against the
-same local terms with that factor on its v series.
+same local terms with that factor on its v series.  The local terms that
+an untwisted em factor read at its top degree makes identically zero are
+dropped before evaluation; the full local terms give the same values.
 
 The character formulas, which the engine reads off arm and leg lengths,
 are checked against the Koszul formulas: ring products of box characters,
@@ -38,16 +40,19 @@ from nesthilb.fixedchar import (
     em_char,
     enumerate_configs,
     hilb_tangent_char,
+    local_pairs,
     nested_tangent_char,
 )
 from nesthilb.integrate import (
     IntegrandSpec,
     _at_chart,
     _chart_grid,
+    _config_counts,
     _evaluate,
     _factor_character,
     _grading,
     _local_terms,
+    _nonzero_terms,
     _read,
     _tangent_character,
     _times,
@@ -617,6 +622,67 @@ class TestTopFactorAtRank:
         assert _grading(spec, local).at_rank == (False,)
         for (a, b), value in integrate(S, 3, 1, spec).values.items():
             assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+
+
+# the integrands whose untwisted em factor is read at its top degree, at
+# (3, 3): its top Chern value is 0 unless Z2 lies in Z1
+ZERO_FACTOR_SPECS = {
+    "theorem5-product": lambda M: IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
+    "zprod": lambda M: IntegrandSpec("product", (total_chern_em(), total_chern_em(M))),
+}
+
+
+class TestNonzeroTerms:
+    @pytest.mark.parametrize("label", ZERO_FACTOR_SPECS)
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_dropped_terms_change_no_value_and_no_count(self, S, M, label):
+        spec = ZERO_FACTOR_SPECS[label](M)
+        local = _local_terms(spec, 3, 3)
+        grading = _grading(spec, local)
+        res = integrate(S, 3, 3, spec)
+        for x, y in res.specializations:
+            assert _evaluate(local, S, x, y, spec, grading) == res.values
+        for (a, b), value in res.values.items():
+            if a + b <= 3:  # the slow path's cost grows fast with the sizes
+                assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+        counts = _config_counts(local, len(S.charts), grading)
+        assert res.config_counts == counts
+        assert counts[(3, 3)] == len(list(enumerate_configs(S, 3, 3, "product")))
+
+    @pytest.mark.parametrize("label", ZERO_FACTOR_SPECS)
+    def test_kept_pairs_are_the_nested_ones(self, label):
+        spec = ZERO_FACTOR_SPECS[label](line_bundle(surface_p2(), [0, 0, 1]))
+        local = _local_terms(spec, 3, 3)
+        kept = _nonzero_terms(spec, local, _grading(spec, local))
+        nested = {
+            key: [term for term, (Z1, Z2) in zip(terms, local_pairs(*key, "product"))
+                  if Z1.contains(Z2)]
+            for key, terms in local.items()
+        }
+        assert kept == {key: terms for key, terms in nested.items() if terms}
+        assert all(b <= a for a, b in kept)
+        assert sum(map(len, kept.values())) == 22
+        assert sum(map(len, local.values())) == 49
+
+    @pytest.mark.parametrize("label", ["case2-hilb", "theorem7"])
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_twisted_factors_drop_nothing(self, S, M, label):
+        spec, n1, n2 = {
+            # case2's Hilbert side: its top factor is twisted by K
+            "case2-hilb": (
+                IntegrandSpec("product", (total_chern_em(M), top_chern_taut(canonical_bundle(S)))),
+                3,
+                0,
+            ),
+            # theorem7's spec, also theorem5's nested side
+            "theorem7": (IntegrandSpec("nested", (total_chern_em(M),)), 3, 3),
+        }[label]
+        local = _local_terms(spec, n1, n2)
+        assert _nonzero_terms(spec, local, _grading(spec, local)) is local
 
 
 def oracle_classes(S, n):
