@@ -66,6 +66,14 @@ CATALOGUE = [
      "True",
      "_nonzero_terms drops terms of a factor not read at top degree (a total em by an index)"),
     ("src/nesthilb/integrate.py",
+     "if v == 0:",
+     "if False:",
+     "the fused top-degree read skips the pole check on tangent weights"),
+    ("src/nesthilb/integrate.py",
+     "prod((a * X + b * Y + twists[j]) ** m for a, b, m, j in factors)",
+     "prod((a * X + b * Y) ** m for a, b, m, j in factors)",
+     "the fused top-degree read drops the factor twist"),
+    ("src/nesthilb/integrate.py",
      "if (r := tuple(map(sub, rest, local))) in before",
      "if (r := tuple(map(sub, rest, local))) in before or True",
      "_witness accepts a local term whose remainder no earlier chart product holds"),
@@ -77,6 +85,26 @@ CATALOGUE = [
      "for v in values[1:])",
      "for v in values[1:2])",
      "certified_value compares only the first two of its points"),
+    ("src/nesthilb/verify.py",
+     "value, rhs[(n1, n2)])",
+     "value, value)",
+     "theorem7 reports its lhs as the rhs"),
+    ("src/nesthilb/verify.py",
+     "(n1, n2, lhs.value, rhs.value)",
+     "(n1, n2, lhs.value, lhs.value)",
+     "theorem5 reports the nested value as the rhs"),
+    ("src/nesthilb/verify.py",
+     "(n, 0, lhs.values[(n, 0)], (-1) ** n * rhs.values[(n, 0)])",
+     "(n, 0, lhs.values[(n, 0)], lhs.values[(n, 0)])",
+     "case2 reports the nested value as the rhs"),
+    ("src/nesthilb/verify.py",
+     "return all(lhs == rhs for _, _, lhs, rhs in self.entries)",
+     "return True",
+     "CheckReport.passed holds whatever its entries say"),
+    ("src/nesthilb/cli.py",
+     "return 0 if all(r.passed or r.informational for r in reports) else 1",
+     "return 0",
+     "cli.run exits 0 whatever the reports say"),
     ("src/nesthilb/verify.py",
      "if value.denominator != 1:",
      "if value.denominator < 0:",

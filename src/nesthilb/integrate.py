@@ -20,7 +20,8 @@ effective top factor (theorem5's product side, case2's Hilbert side) is read
 at its rank: one value per local term, its top Chern value; only index and
 virtual top factors expand a series in their variable.  If all factors are
 total and effective and their ranks add up to vdim (theorem7, zprod, the
-nested sides), each local term is read at its top degree, as one integer.
+nested sides), each local term is read at its top degree: flattened once per
+call (``_top_terms``), it is one integer fraction of products of weight values.
 A factor read at its top degree with no bundle is 0 at every chart and
 point on a local term whose character holds the weight (0, 0), so such
 terms are dropped before evaluation (``_nonzero_terms``).  The untwisted
@@ -55,7 +56,7 @@ from typing import Callable, NamedTuple
 from .charalg import Character, Slotted, USeries, Weight, chern_useries, euler_value
 from .charalg import top_chern_value
 from .charalg import substitute_chart  # the oracle's only, and bound for the benchmark trace
-from .errors import InvalidNesting
+from .errors import InvalidNesting, SpecializationPole, ZeroWeightInTangent
 from .fixedchar import (  # enumerate_configs: never called, bound for the benchmark trace
     FixedConfig,
     em_char,
@@ -296,13 +297,23 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
     )
 
 
+def _top_terms(local: _Terms) -> dict:
+    """``local`` flattened once per call for a top-degree read: per term, tangent
+    weights (a, b, m) and factor weights (a, b, m, j), j the factor (its twist)."""
+    if any(tangent.zero_multiplicity() for ts in local.values() for tangent, _ in ts):
+        raise ZeroWeightInTangent("zero weight with nonzero multiplicity")
+    return {key: [(tuple((a, b, m) for (a, b), m in t.terms.items()),
+                   tuple((a, b, m, j) for j, c in enumerate(cs) for (a, b), m in c.terms.items()))
+                  for t, cs in ts] for key, ts in local.items()}
+
+
 # a grid maps local or global sizes and v exponents (a, b, v_1, ..) to
 # the coefficients [u^0 .. u^ucut] of that monomial's u-series
 _Grid = dict[tuple[int, ...], list[int]]
 
 
 def _chart_grid(
-    local: _Terms,
+    local: _Terms | dict,
     S: ToricSurfaceDescriptor,
     i: int,
     x: int,
@@ -310,24 +321,34 @@ def _chart_grid(
     spec: IntegrandSpec,
     grading: _Grading,
 ) -> tuple[int, _Grid]:
-    """Chart i's factor Z_p at (x, y) as an integer grid and its
-    denominator: each local term at the projected point (X, Y) is its
-    factor Chern series (an at_rank factor's top Chern value, at v-degree
-    its rank), or at top degree their top Chern values, divided by its
-    tangent Euler value, all over one common denominator.  ``local`` holds
-    the terms that ``_nonzero_terms`` keeps; a twisted top factor can still
-    be 0 at one point, so zero top Chern values are skipped here too."""
+    """Chart i's factor Z_p at (x, y) as an integer grid and its denominator,
+    from the terms that ``_nonzero_terms`` keeps at the projected point (X, Y).
+    At top degree (``_top_terms``) each is one integer fraction, its factors'
+    top Chern values over its tangent Euler value, summed over their lcm; any
+    vanishing tangent weight is a pole.  Otherwise each is its factor Chern
+    series (an at_rank factor's top Chern value at v-degree its rank, skipped
+    where 0) over its tangent Euler value, over one common denominator."""
     ucut = grading.ucut
     X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
     twists = [_twist(f, i).value(x, y) for f in spec.factors]
+    if grading.top:
+        fracs: dict = {key: [] for key in local}
+        for key, ts in local.items():
+            for tangent, factors in ts:
+                num, den = prod((a * X + b * Y + twists[j]) ** m for a, b, m, j in factors), 1
+                for a, b, m in tangent:
+                    v = a * X + b * Y
+                    if v == 0:
+                        raise SpecializationPole(f"weight ({a}, {b}) vanishes at ({X}, {Y})")
+                    if m > 0:
+                        den *= v**m
+                    else:
+                        num *= v**-m
+                fracs[key].append((num, den))
+        den = lcm(*(d for fs in fracs.values() for _, d in fs))
+        return den, {key: [sum(n * (den // d) for n, d in fs)] for key, fs in fracs.items()}
     eulers = {key: [euler_value(t, X, Y) for t, _ in ts] for key, ts in local.items()}
     den = lcm(*(e.numerator for es in eulers.values() for e in es))
-    if grading.top:
-        return den, {key: [sum(
-            den // e.numerator * e.denominator
-            * prod(top_chern_value(c, X, Y, t) for c, t in zip(chars, twists))
-            for (_, chars), e in zip(ts, eulers[key])
-        )] for key, ts in local.items()}
     grid: _Grid = {}
     for key, ts in local.items():
         for (_, chars), e in zip(ts, eulers[key]):
@@ -365,15 +386,19 @@ def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int) -> _Grid:
     return out
 
 
-def _evaluate(
-    local: _Terms, S: ToricSurfaceDescriptor, x: int, y: int, spec: IntegrandSpec, grading: _Grading
-) -> dict[tuple[int, int], Fraction]:
-    """Every entry of the vertex product Z = prod_p Z_p at (x, y)."""
+def _vertex_product(terms: _Terms | dict, S: ToricSurfaceDescriptor, x: int, y: int,
+                    spec: IntegrandSpec, grading: _Grading) -> dict[tuple[int, int], Fraction]:
+    """Every entry of Z = prod_p Z_p at (x, y), from ``terms`` as ``_chart_grid`` takes them."""
     charts = range(len(S.charts))
-    dens, grids = zip(*(_chart_grid(local, S, i, x, y, spec, grading) for i in charts))
-    times = partial(_times, n1=grading.n1, n2=grading.n2, ucut=grading.ucut)
-    product = reduce(times, grids)
+    dens, grids = zip(*(_chart_grid(terms, S, i, x, y, spec, grading) for i in charts))
+    product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=grading.ucut), grids)
     return {key: Fraction(_read(product, key, grading), prod(dens)) for key in grading.reads}
+
+
+def _evaluate(local: _Terms, S: ToricSurfaceDescriptor, x: int, y: int, spec: IntegrandSpec,
+              grading: _Grading) -> dict[tuple[int, int], Fraction]:
+    """``_vertex_product`` from ``local`` at one point (``integrate`` flattens once for all)."""
+    return _vertex_product(_top_terms(local) if grading.top else local, S, x, y, spec, grading)
 
 
 def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
@@ -444,10 +469,11 @@ def integrate(
     S.check_bundles(*(f.bundle for f in spec.factors))
     local = _local_terms(spec, n1, n2)
     grading = _grading(spec, local)
-    nonzero = _nonzero_terms(spec, local, grading)
+    terms = _nonzero_terms(spec, local, grading)
+    terms = _top_terms(terms) if grading.top else terms
     rng = make_rng(seed)
     values, points = certified_value(
-        lambda x, y: _evaluate(nonzero, S, x, y, spec, grading),
+        lambda x, y: _vertex_product(terms, S, x, y, spec, grading),
         lambda: random_point(rng),
         _NPOINTS,
         f"{S.name} ({n1}, {n2}, {spec.mode})",

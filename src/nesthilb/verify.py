@@ -19,7 +19,6 @@ from .errors import InconsistentTangent, InvalidNesting, NestHilbError
 from .integrate import (
     IntegrandSpec,
     InvariantResult,
-    _times,
     integrate,
     integrate_hilb,
     tangent_classes,
@@ -89,15 +88,25 @@ def theorem7_rhs(
         raise NestHilbError(f"non-integral A={A}, B={B} on {S.name} bundle {M.label}")
     A, B = A.numerator, B.numerator
 
-    # the vertex product's grids, with no v-degree and u cut at 0; every
-    # factor has m2 <= m1, so a cut at (nmax, nmax) loses nothing
-    series = {(0, 0): [1]}
-    for n in range(1, nmax + 1):
-        for (m1, m2), expo in (((n, n - 1), A), ((n, n), B)):
-            factor = {(k * m1, k * m2): [(-1) ** k * _binomial(expo, k)]
-                      for k in range(nmax // m1 + 1)}
-            series = _times(series, factor, nmax, nmax, 0)
-    return {key: Fraction(series.get(key, [0])[0]) for key in _table_keys(nmax)}
+    factors = [(m, expo) for n in range(1, nmax + 1) for m, expo in (((n, n - 1), A), ((n, n), B))]
+    series = _eta_product(factors, nmax)
+    return {key: Fraction(series.get(key, 0)) for key in _table_keys(nmax)}
+
+
+def _eta_product(factors, nmax: int) -> dict[tuple[int, int], int]:
+    """prod (1 - q1^m1 q2^m2)^E over ``factors`` ((m1, m2), E), m1, m2 >= 0
+    not both 0, as {(n1, n2): coefficient} cut at (nmax, nmax), one factor's
+    binomial series sum_k (-1)^k C(E, k) q1^(k m1) q2^(k m2) at a time."""
+    series = {(0, 0): 1}
+    for (m1, m2), expo in factors:
+        out = dict(series)
+        for k in range(1, nmax // max(m1, m2) + 1):
+            c = (-1) ** k * _binomial(expo, k)
+            for (a, b), coeff in series.items():
+                if c and a + k * m1 <= nmax and b + k * m2 <= nmax:
+                    out[a + k * m1, b + k * m2] = out.get((a + k * m1, b + k * m2), 0) + coeff * c
+        series = out
+    return series
 
 
 def theorem7_check(

@@ -17,6 +17,10 @@ times c_0 = 1, and the rank read of an effective top factor against the
 same local terms with that factor on its v series.  The local terms that
 an untwisted em factor read at its top degree makes identically zero are
 dropped before evaluation; the full local terms give the same values.
+The fused top-degree read of each local term, one integer fraction of
+its flattened weights, is checked term by term against ``top_chern_value``
+over ``euler_value``, also where a tangent weight (a pole) or only a
+factor weight (a zero) vanishes.
 
 The character formulas, which the engine reads off arm and leg lengths,
 are checked against the Koszul formulas: ring products of box characters,
@@ -26,6 +30,7 @@ their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -33,8 +38,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nesthilb.integrate as integrate_module
-from nesthilb.charalg import Character, Weight, chern_useries
-from nesthilb.errors import InconsistentTangent
+from nesthilb.charalg import Character, Weight, chern_useries, euler_value, top_chern_value
+from nesthilb.errors import InconsistentTangent, SpecializationPole, ZeroWeightInTangent
 from nesthilb.fixedchar import (
     FixedConfig,
     em_char,
@@ -56,6 +61,7 @@ from nesthilb.integrate import (
     _read,
     _tangent_character,
     _times,
+    _top_terms,
     _twist,
     chern_index_em,
     integrate,
@@ -71,6 +77,7 @@ from nesthilb.partitions import Partition, box_char, nested_pairs, partitions_of
 from nesthilb.toric import (
     canonical_bundle,
     line_bundle,
+    surface_from_file,
     surface_from_json,
     surface_hirzebruch,
     surface_p1xp1,
@@ -384,7 +391,9 @@ def test_rational_point_and_scaled_integer_point_give_the_same_summand(mode):
             fs = reference_degrees(chars, spec)
             slow = reference_summand(tangent, fs, x, y)
             assert slow == reference_summand(tangent, fs, Fraction(X), Fraction(Y))
-            den, grid = _chart_grid({key: [term]}, S, i, X, Y, spec, grading)
+            one = {key: [term]}
+            one = _top_terms(one) if grading.top else one
+            den, grid = _chart_grid(one, S, i, X, Y, spec, grading)
             assert Fraction(_read(grid, key, grading), den) == slow
 
 
@@ -683,6 +692,108 @@ class TestNonzeroTerms:
         }[label]
         local = _local_terms(spec, n1, n2)
         assert _nonzero_terms(spec, local, _grading(spec, local)) is local
+
+
+# the surfaces of the fused top-degree read: scaled-plane's charts are not a
+# lattice basis and its twist is half a local exponent
+SCALED_PLANE = surface_from_file(Path(__file__).parent / "data" / "scaled-plane.json")
+FUSED_SURFACES = (
+    (surface_p2(), line_bundle(surface_p2(), [0, 0, 1])),
+    (surface_p1xp1(), line_bundle(surface_p1xp1(), [0, 0, 1, 1])),
+    (SCALED_PLANE, SCALED_PLANE.bundle("L")),
+)
+# theorem7's spec (nested) and zprod's (product), both read at top degree
+FUSED_SPECS = {
+    "nested": lambda M: IntegrandSpec("nested", (total_chern_em(M),)),
+    "product": lambda M: IntegrandSpec("product", (total_chern_em(), total_chern_em(M))),
+}
+
+
+def fused_value(key, term, S, i, x, y, spec, grading):
+    """One local term at chart i and (x, y), through the fused top-degree read."""
+    den, grid = _chart_grid(_top_terms({key: [term]}), S, i, x, y, spec, grading)
+    return Fraction(grid[key][0], den)
+
+
+def top_over_euler(term, S, i, x, y, spec):
+    """The same term as its factors' top Chern values over its tangent Euler value."""
+    X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
+    twists = [_twist(f, i).value(x, y) for f in spec.factors]
+    tops = prod(top_chern_value(c, X, Y, t) for c, t in zip(term[1], twists))
+    return tops / euler_value(term[0], X, Y)
+
+
+def vanishing(term, S, i, x, y, spec):
+    """(a tangent weight vanishes, a twisted factor weight vanishes) at chart i and (x, y)."""
+    X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
+    twists = [_twist(f, i).value(x, y) for f in spec.factors]
+    return (
+        any(a * X + b * Y == 0 for a, b in term[0].terms),
+        any(a * X + b * Y + t == 0 for c, t in zip(term[1], twists) for a, b in c.terms),
+    )
+
+
+class TestFusedTopValue:
+    @pytest.mark.parametrize("mode", FUSED_SPECS)
+    @pytest.mark.parametrize("S,M", FUSED_SURFACES, ids=[S.name for S, _ in FUSED_SURFACES])
+    def test_every_local_term_matches_top_chern_over_euler(self, S, M, mode):
+        spec = FUSED_SPECS[mode](M)
+        local = _local_terms(spec, 4, 4)
+        grading = _grading(spec, local)
+        assert grading.top
+        points = integrate(S, 4, 4, spec).specializations  # pole-free for every term
+        for key, terms in local.items():
+            for term in terms:
+                for i in range(len(S.charts)):
+                    for x, y in points:
+                        fast = fused_value(key, term, S, i, x, y, spec, grading)
+                        assert fast == top_over_euler(term, S, i, x, y, spec), (key, i, x, y)
+
+    @pytest.mark.parametrize("mode", FUSED_SPECS)
+    @pytest.mark.parametrize("S,M", FUSED_SURFACES, ids=[S.name for S, _ in FUSED_SURFACES])
+    def test_a_vanishing_tangent_weight_is_a_pole_and_a_factor_weight_a_zero(self, S, M, mode):
+        # small points, where weights of the local terms up to (4, 4) vanish
+        spec = FUSED_SPECS[mode](M)
+        local = _local_terms(spec, 4, 4)
+        grading = _grading(spec, local)
+        seen = Counter()
+        for x, y in ((x, y) for x in range(1, 5) for y in range(1, 5)):
+            for i in range(len(S.charts)):
+                for key, terms in local.items():
+                    for term in terms:
+                        tangent_zero, factor_zero = vanishing(term, S, i, x, y, spec)
+                        if tangent_zero:
+                            with pytest.raises(SpecializationPole):
+                                fused_value(key, term, S, i, x, y, spec, grading)
+                        elif factor_zero:
+                            assert fused_value(key, term, S, i, x, y, spec, grading) == 0
+                            assert top_over_euler(term, S, i, x, y, spec) == 0
+                        seen[tangent_zero, factor_zero] += 1
+        assert seen[True, True] and seen[True, False] and seen[False, True]
+
+    def test_a_zero_tangent_weight_is_refused_before_any_draw(self, monkeypatch):
+        # (0, 0) in, (5, 5) out: the rank, and so the top-degree read, stay
+        real, draws = integrate_module._local_tangent, []
+        monkeypatch.setattr(
+            integrate_module, "_local_tangent",
+            lambda Z1, Z2, mode: real(Z1, Z2, mode) + Character({(0, 0): 1, (5, 5): -1}),
+        )
+        monkeypatch.setattr(integrate_module, "random_point", lambda rng: draws.append(1))
+        S, M = FUSED_SURFACES[0]
+        spec = FUSED_SPECS["nested"](M)
+        assert is_top(spec, 2, 2)
+        with pytest.raises(ZeroWeightInTangent, match="^zero weight with nonzero multiplicity$"):
+            integrate(S, 2, 2, spec)
+        assert draws == []
+
+    def test_a_pole_in_any_term_is_a_pole_of_the_table(self):
+        # at (1, 1) chart 0 of p2 projects to (1, 1), where a local tangent
+        # weight (a, -a) vanishes; the whole table must redraw, not skip the term
+        S, M = FUSED_SURFACES[0]
+        spec = FUSED_SPECS["nested"](M)
+        local = _local_terms(spec, 2, 2)
+        with pytest.raises(SpecializationPole, match=r"vanishes at \(1, 1\)"):
+            _evaluate(local, S, 1, 1, spec, _grading(spec, local))
 
 
 def oracle_classes(S, n):

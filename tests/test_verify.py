@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nesthilb.integrate as integrate_module
 import nesthilb.verify
@@ -23,6 +25,7 @@ from nesthilb.toric import (
     surface_p2,
 )
 from nesthilb.verify import (
+    _eta_product,
     case2_check,
     case3_check,
     theorem5_check,
@@ -61,6 +64,47 @@ def expand_by_hand_plane_trivial(nmax):
         mul((n, n - 1), lambda k: comb(9, k) * (-1) ** k, nmax)
         mul((n, n), lambda k: comb(k + 2, 2), nmax)  # (1-x)^-3
     return series
+
+
+def brute_eta_product(factors, nmax):
+    """prod (1 - q1^m1 q2^m2)^E by repeated series products: E times by
+    (1 - x) for E >= 0, -E times by the geometric series of 1/(1 - x)."""
+    series = {(0, 0): 1}
+    for (m1, m2), expo in factors:
+        steps = range(nmax // max(m1, m2) + 1)
+        one = {(0, 0): 1, (m1, m2): -1} if expo >= 0 else {(k * m1, k * m2): 1 for k in steps}
+        for _ in range(abs(expo)):
+            out = {}
+            for (a, b), c in series.items():
+                for (da, db), d in one.items():
+                    if a + da <= nmax and b + db <= nmax:
+                        out[(a + da, b + db)] = out.get((a + da, b + db), 0) + c * d
+            series = out
+    return {key: c for key, c in series.items() if c}
+
+
+class TestEtaProduct:
+    @given(
+        st.lists(
+            st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-6, 6))
+            .filter(lambda f: f[0] != (0, 0)),
+            max_size=5,
+        ),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example([((1, 0), 0), ((1, 1), -6), ((2, 1), 6)], 8)
+    @example([((1, 0), 9), ((1, 1), -3)], 3)
+    def test_matches_brute_force_series_products(self, factors, nmax):
+        fast = {key: c for key, c in _eta_product(factors, nmax).items() if c}
+        assert fast == brute_eta_product(factors, nmax)
+
+    @pytest.mark.parametrize("A,B", [(9, -3), (8, -4), (0, 0), (-6, 6), (3, -6)])
+    def test_theorem7_factors(self, A, B):
+        nmax = 6
+        factors = [(m, e) for n in range(1, nmax + 1) for m, e in (((n, n - 1), A), ((n, n), B))]
+        expected = brute_eta_product(factors, nmax)
+        assert {key: c for key, c in _eta_product(factors, nmax).items() if c} == expected
 
 
 class TestProductFormulaSide:
