@@ -54,17 +54,21 @@ CATALOGUE = [
      "if k1[0] + k2[0] >= n1",
      "_times drops every product term at the outer size n1"),
     ("src/nesthilb/integrate.py",
-     "series = grid.get(key + degrees)",
-     "series = grid.get(key)",
-     "_read ignores the v-degrees that an entry reads"),
+     "reads[key] = tangent.signed_rank() - tops",
+     "reads[key] = tangent.signed_rank()",
+     "_grading's reads drop the top factors' ranks: entries read u^vdim"),
     ("src/nesthilb/integrate.py",
      "f.bundle is None and (grading.top",
      "(grading.top",
      "_nonzero_terms drops terms of twisted factors, such as case2's taut(K) top factor"),
     ("src/nesthilb/integrate.py",
-     "(grading.top or grading.at_rank[j])",
+     '(grading.top or f.kind == "top")',
      "True",
-     "_nonzero_terms drops terms of a factor not read at top degree (a total em by an index)"),
+     "_nonzero_terms treats every factor as top, so drops terms of an untwisted total factor"),
+    ("src/nesthilb/integrate.py",
+     "c *= top_chern_value(char, X, Y, twist)",
+     "pass",
+     "the series path skips the top factors' top Chern values"),
     ("src/nesthilb/integrate.py",
      "if v == 0:",
      "if False:",

@@ -11,14 +11,13 @@ summand is a product of local terms and a whole table is one product
     Z = prod_p Z_p,   Z_p = sum over local partition pairs of sizes (a, b)
                             of q1^a q2^b c(E_p) / e(T_p),
 
-whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  "Total" factors are
-graded by u; each "top" or "index" factor by a variable v_j of its own, so
-that its kept degree is selected globally.  Z_p is one flat grid of u-series
-keyed by (a, b, v-degrees), and products cut it at the sizes and in u only:
-v-degrees only add.  An effective Chern series stops at its rank.  So an
-effective top factor (theorem5's product side, case2's Hilbert side) is read
-at its rank: one value per local term, its top Chern value; only index and
-virtual top factors expand a series in their variable.  If all factors are
+whose q1^n1 q2^n2 coefficient is the (n1, n2) entry.  Z_p is one flat grid
+of u-series keyed by the sizes (a, b), and products cut it at the sizes and
+in u.  "Total" factors are graded by u.  An effective Chern series stops at
+its rank, so a "top" factor (theorem5's product side, case2's Hilbert side)
+is one value per local term, its top Chern value, and each entry reads u at
+vdim less its top factors' ranks: every rank is linear in the sizes.  A
+virtual top factor has no such value and is refused.  If all factors are
 total and effective and their ranks add up to vdim (theorem7, zprod, the
 nested sides), each local term is read at its top degree: flattened once per
 call (``_top_terms``), it is one integer fraction of products of weight values.
@@ -74,30 +73,28 @@ _NPOINTS = 3  # specialization points that must agree
 class Factor(Slotted):
     """One multiplicative piece of an integrand.
 
-    kind: "total" (whole Chern series), "top" (top Chern class only) or
-    "index" (single Chern class c_k, k >= 0).
+    kind: "total" (whole Chern series) or "top" (top Chern class only, of
+    an effective class: its value at the rank).
     klass: which K-class the factor is built from (em, em_rev, taut, tangent).
     slot: 1 or 2 for classes living on a single Hilbert factor (taut,
     tangent).
     """
 
-    __slots__ = ("kind", "klass", "bundle", "k", "slot")
+    __slots__ = ("kind", "klass", "bundle", "slot")
 
     def __init__(self, kind: str, klass: str, bundle: EquivariantLineBundle | None = None,
-                 k: int | None = None, slot: int | None = None):
-        self.kind, self.klass, self.bundle, self.k, self.slot = kind, klass, bundle, k, slot
-        if self.kind not in ("total", "top", "index"):
+                 slot: int | None = None):
+        self.kind, self.klass, self.bundle, self.slot = kind, klass, bundle, slot
+        if self.kind not in ("total", "top"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.klass not in ("em", "em_rev", "taut", "tangent"):
             raise ValueError(f"unknown factor class {self.klass!r}")
         if self.klass in ("taut", "tangent") and self.slot not in (1, 2):
             raise ValueError(f"a {self.klass} factor needs slot 1 or 2, got {self.slot!r}")
-        if self.kind == "index" and (type(self.k) is not int or self.k < 0):
-            raise ValueError(f"an index factor needs an int k >= 0, got {self.k!r}")
-        if self.kind != "index" and self.k is not None:
-            raise ValueError(f"a {self.kind} factor takes no k, got {self.k!r}")
         if self.klass in ("em", "em_rev") and self.slot is not None:
             raise ValueError(f"an {self.klass} factor takes no slot, got {self.slot!r}")
+        if self.bundle is not None and not isinstance(self.bundle, EquivariantLineBundle):
+            raise ValueError(f"a factor's twist is a line bundle, got {self.bundle!r}")
 
 
 def total_chern_em(bundle: EquivariantLineBundle | None = None) -> Factor:
@@ -106,10 +103,6 @@ def total_chern_em(bundle: EquivariantLineBundle | None = None) -> Factor:
 
 def top_chern_em(bundle: EquivariantLineBundle | None = None) -> Factor:
     return Factor("top", "em", bundle)
-
-
-def chern_index_em(k: int, bundle: EquivariantLineBundle | None = None) -> Factor:
-    return Factor("index", "em", bundle, k=k)
 
 
 def total_chern_em_rev(bundle: EquivariantLineBundle | None = None) -> Factor:
@@ -197,19 +190,16 @@ def _local_terms(spec: IntegrandSpec, n1: int, n2: int) -> _Terms:
 class _Grading(NamedTuple):
     """Which coefficient of the vertex product each table entry reads.
 
-    Total factors are graded by u; each top or index factor by its own
-    variable v_j, its local series cut at caps[j].  Entry (a, b) reads
-    v^degrees u^k, k = vdim(a, b) - sum(degrees); a negative k reads 0.
-    A factor flagged in at_rank adds only its rank to v_j per local term.
+    Total factors are graded by u; a top factor is read at its rank.  So
+    entry (a, b) reads u^k, k = vdim(a, b) less the ranks of its top
+    factors; a negative k reads 0.
     """
 
-    reads: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # by entry, in order
+    reads: dict[tuple[int, int], int]  # by entry, in order: its k
     n1: int
     n2: int
     ucut: int
-    caps: tuple[int, ...]
     top: bool  # every entry reads one integer: u^vdim at top degree
-    at_rank: tuple[bool, ...]  # per factor: an effective top factor, read at its rank
 
 
 def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
@@ -220,43 +210,32 @@ def _grading(spec: IntegrandSpec, local: _Terms) -> _Grading:
     a local pair of sizes (a, b) has the rank of entry (a, b): both are
     read off the first local pair of each key.  The table is read at top
     degree if all factors are total and effective and their ranks add up
-    to vdim.  A top factor whose local characters are all effective is
-    read at its rank on every local term, whatever the other factors are:
-    its series stops there, and entries read the sum of those ranks.
+    to vdim.
     """
-    effective = [
-        all(m > 0 for ts in local.values() for _, chars in ts for m in chars[j].terms.values())
-        for j in range(len(spec.factors))
-    ]
-    at_rank = tuple(f.kind == "top" and e for f, e in zip(spec.factors, effective))
-    if all(f.kind == "total" for f in spec.factors) and all(effective) and all(
+    if all(f.kind == "total" for f in spec.factors) and all(
+        m > 0 for ts in local.values() for _, chars in ts for c in chars for m in c.terms.values()
+    ) and all(
         sum(char.signed_rank() for char in terms[0][1]) == terms[0][0].signed_rank()
         for terms in local.values()
     ):
-        return _Grading(dict.fromkeys(local, ((), 0)), *max(local), 0, (), True, at_rank)
+        return _Grading(dict.fromkeys(local, 0), *max(local), 0, True)
     reads = {}
     for key, terms in local.items():
         tangent, chars = terms[0]
-        degrees = tuple(
-            char.signed_rank() if f.kind == "top" else f.k
-            for char, f in zip(chars, spec.factors)
-            if f.kind != "total"
-        )
-        reads[key] = (degrees, tangent.signed_rank() - sum(degrees))
-    caps = tuple(max(0, *ds) for ds in zip(*(d for d, _ in reads.values())))
-    ucut = max(0, *(k for _, k in reads.values()))
-    return _Grading(reads, *max(local), ucut, caps, False, at_rank)  # largest key: (n1, n2)
+        tops = sum(char.signed_rank() for char, f in zip(chars, spec.factors) if f.kind == "top")
+        reads[key] = tangent.signed_rank() - tops
+    return _Grading(reads, *max(local), max(0, *reads.values()), False)  # largest key: (n1, n2)
 
 
 def _nonzero_terms(spec: IntegrandSpec, local: _Terms, grading: _Grading) -> _Terms:
     """``local`` without the terms that are 0 at every chart and point, or
     ``local`` itself when no factor can make one.  A factor read at its
-    top degree (the whole table at top degree, or the factor at its rank)
-    has the product of its weights as its value; with no bundle its twist
-    is 0, so a local character that holds the weight (0, 0) makes it 0."""
+    top degree (the whole table at top degree, or a top factor) has the
+    product of its weights as its value; with no bundle its twist is 0,
+    so a local character that holds the weight (0, 0) makes it 0."""
     zero = [
         j for j, f in enumerate(spec.factors)
-        if f.bundle is None and (grading.top or grading.at_rank[j])
+        if f.bundle is None and (grading.top or f.kind == "top")
     ]
     if not zero:
         return local
@@ -307,8 +286,8 @@ def _top_terms(local: _Terms) -> dict:
                   for t, cs in ts] for key, ts in local.items()}
 
 
-# a grid maps local or global sizes and v exponents (a, b, v_1, ..) to
-# the coefficients [u^0 .. u^ucut] of that monomial's u-series
+# a grid maps local or global sizes (a, b) to the coefficients
+# [u^0 .. u^ucut] of their u-series (tangent_classes adds the class to the key)
 _Grid = dict[tuple[int, ...], list[int]]
 
 
@@ -325,9 +304,9 @@ def _chart_grid(
     from the terms that ``_nonzero_terms`` keeps at the projected point (X, Y).
     At top degree (``_top_terms``) each is one integer fraction, its factors'
     top Chern values over its tangent Euler value, summed over their lcm; any
-    vanishing tangent weight is a pole.  Otherwise each is its factor Chern
-    series (an at_rank factor's top Chern value at v-degree its rank, skipped
-    where 0) over its tangent Euler value, over one common denominator."""
+    vanishing tangent weight is a pole.  Otherwise each is its top factors'
+    top Chern values (the term skipped where 0) times its total factors'
+    Chern series, over its tangent Euler value, over one common denominator."""
     ucut = grading.ucut
     X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
     twists = [_twist(f, i).value(x, y) for f in spec.factors]
@@ -352,20 +331,14 @@ def _chart_grid(
     grid: _Grid = {}
     for key, ts in local.items():
         for (_, chars), e in zip(ts, eulers[key]):
-            u = USeries.one(ucut)
-            parts = [(key, den // e.numerator * e.denominator)]
-            caps = iter(grading.caps)
-            for char, f, twist, at_rank in zip(chars, spec.factors, twists, grading.at_rank):
+            u, c = USeries.one(ucut), den // e.numerator * e.denominator
+            for char, f, twist in zip(chars, spec.factors, twists):
                 if f.kind == "total":
                     u = u * chern_useries(char, X, Y, ucut, twist)
-                elif at_rank:
-                    c_top = top_chern_value(char, X, Y, twist)
-                    parts = [(d + (char.signed_rank(),), c * c_top) for d, c in parts if c_top]
                 else:
-                    cs = chern_useries(char, X, Y, next(caps), twist).coeffs
-                    parts = [(d + (j,), c * cj) for d, c in parts for j, cj in enumerate(cs) if cj]
-            for d, c in parts:
-                acc = grid.setdefault(d, [0] * (ucut + 1))
+                    c *= top_chern_value(char, X, Y, twist)
+            if c:
+                acc = grid.setdefault(key, [0] * (ucut + 1))
                 for k, uk in enumerate(u.coeffs):
                     acc[k] += c * uk
     return den, grid
@@ -403,8 +376,8 @@ def _evaluate(local: _Terms, S: ToricSurfaceDescriptor, x: int, y: int, spec: In
 
 def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
     """The coefficient that entry ``key`` reads from ``grid``."""
-    degrees, k = grading.reads[key]
-    series = grid.get(key + degrees)
+    k = grading.reads[key]
+    series = grid.get(key)
     return series[k] if series and k >= 0 else 0
 
 

@@ -20,8 +20,6 @@ from nesthilb.fixedchar import (
 from nesthilb.integrate import (
     IntegrandSpec,
     _tangent_character,
-    chern_index_em,
-    integrate,
     integrate_hilb,
     total_chern_em,
     total_chern_tangent,
@@ -109,16 +107,6 @@ class TestAcceptance:
                     for mu2 in partitions_of(n2):
                         v = em_char(box_char(mu1), box_char(mu2))
                         ok = ok and v.signed_rank() == n1 + n2
-        # (e): vanishing above top degree
-        for S in (surface_p2(), surface_p1xp1()):
-            M = canonical_bundle(S)
-            for n1, n2 in [(1, 0), (1, 1), (2, 1)]:
-                for j in range(1, min(2, n1 + n2) + 1):  # c_k with k < 0 is rejected
-                    spec = IntegrandSpec(
-                        "product",
-                        (chern_index_em(n1 + n2 + j, M), chern_index_em(n1 + n2 - j)),
-                    )
-                    ok = ok and integrate(S, n1, n2, spec).value == 0
         _report("4 (property suite)", ok)
 
     def test_5_calibration(self):

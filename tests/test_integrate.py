@@ -13,7 +13,6 @@ from nesthilb.integrate import (
     IntegrandSpec,
     _grading,
     _local_terms,
-    chern_index_em,
     integrate,
     integrate_hilb,
     top_chern_em,
@@ -67,32 +66,31 @@ class TestSpecValidation:
             IntegrandSpec("hilb")
 
     @pytest.mark.parametrize(
-        "kind,klass,k,slot,match",
+        "kind,klass,bundle,slot,match",
         [
             ("bottom", "em", None, None, "kind"),
+            ("index", "em", None, None, "kind"),  # c_k: no check integrates one
             ("total", "chern", None, None, "class"),
             ("total", "tangent", None, None, "slot"),  # no slot: misread as slot 2
             ("total", "tangent", None, 3, "slot"),
+            ("total", "taut", canonical_bundle(surface_p2()), None, "slot"),
             ("top", "taut", None, 0, "slot"),
-            ("index", "em", None, None, "k"),
-            ("index", "em", -1, None, "k"),
-            ("index", "em", 1.0, None, "k"),
-            ("index", "em", True, None, "k"),
-            ("top", "em", 7, 2, "takes no k"),  # would integrate as top_chern_em()
-            ("total", "em", 3, None, "takes no k"),
             ("total", "em_rev", None, 1, "takes no slot"),
+            ("top", "em", 7, 2, "takes no slot"),  # the slot is refused before the twist
+            # a degree where the twist goes: it would fail only at the first chart
+            ("total", "em", 3, None, "twist"),
+            ("top", "taut", "K", 1, "twist"),
         ],
     )
-    def test_factor_rejects_what_it_would_misread(self, kind, klass, k, slot, match):
+    def test_factor_rejects_what_it_would_misread(self, kind, klass, bundle, slot, match):
         with pytest.raises(ValueError, match=match):
-            Factor(kind, klass, k=k, slot=slot)
+            Factor(kind, klass, bundle, slot=slot)
 
     def test_factor_accepts_the_constructors(self):
         K = canonical_bundle(surface_p2())
         for slot in (1, 2):
             Factor("total", "tangent", slot=slot)
             Factor("top", "taut", K, slot=slot)
-        Factor("index", "em", k=0)
         Factor("total", "em_rev")
 
 
@@ -149,16 +147,28 @@ class TestDeterminismAndConstancy:
 
 
 class TestVanishingAboveTopDegree:
-    @pytest.mark.parametrize("n1,n2", [(1, 0), (1, 1), (2, 1)])
+    # c(E_M) read above its rank n1 + n2 on the u series: vdim 2(n1 + n2)
+    # less the rank of a taut top factor on a slot whose other size is
+    # positive
+    @pytest.mark.parametrize("n1,n2", [(1, 0), (1, 1), (2, 1), (2, 2)])
     def test_both_surfaces(self, n1, n2):
         for S in (surface_p2(), surface_p1xp1()):
-            M = canonical_bundle(S)
-            for j in range(1, min(2, n1 + n2) + 1):  # c_k with k < 0 is rejected
-                spec = IntegrandSpec(
-                    "product",
-                    (chern_index_em(n1 + n2 + j, M), chern_index_em(n1 + n2 - j)),
-                )
-                assert integrate(S, n1, n2, spec).value == 0
+            K = canonical_bundle(S)
+            for slot, other in ((1, n2), (2, n1)):
+                if other:
+                    spec = IntegrandSpec("product", (total_chern_em(K), top_chern_taut(K, slot)))
+                    assert integrate(S, n1, n2, spec).value == 0
+
+
+class TestTopChernFactor:
+    def test_top_chern_equals_index_at_rank(self):
+        # on the nested scheme E_M has rank vdim, so c(E_M) read at u^vdim,
+        # the top-degree read, is its Chern class at index the rank
+        S = surface_p2()
+        for M in (None, canonical_bundle(S)):
+            top = integrate(S, 2, 2, IntegrandSpec("nested", (top_chern_em(M),)))
+            index = integrate(S, 2, 2, IntegrandSpec("nested", (total_chern_em(M),)))
+            assert top.values == index.values
 
 
 class TestDegreesFromLocalTerms:
@@ -167,7 +177,8 @@ class TestDegreesFromLocalTerms:
         spec = IntegrandSpec("nested", (top_chern_em(), total_chern_em()))
         reads = _grading(spec, _local_terms(spec, 3, 2)).reads
         assert list(reads) == [(a, b) for a in range(4) for b in range(min(a, 2) + 1)]
-        assert all(r == ((a + b,), 0) for (a, b), r in reads.items())  # vdim n1 + n2
+        # k = vdim n1 + n2 less the top factor's rank n1 + n2
+        assert all(k == (a + b) - (a + b) for (a, b), k in reads.items())
 
     def test_product(self):
         K = canonical_bundle(surface_p2())
@@ -175,9 +186,9 @@ class TestDegreesFromLocalTerms:
         spec = IntegrandSpec("product", factors)
         reads = _grading(spec, _local_terms(spec, 2, 3)).reads
         assert list(reads) == [(a, b) for a in range(3) for b in range(4)]
-        for (a, b), (degrees, k) in reads.items():
-            assert degrees == (a + b, b, 2 * a)
-            assert k == 2 * (a + b) - sum(degrees)  # vdim 2(n1 + n2)
+        for (a, b), k in reads.items():
+            # vdim 2(n1 + n2) less the top factors' ranks a + b, b and 2a
+            assert k == 2 * (a + b) - (a + b + b + 2 * a)
 
 
 class TestEffectiveFactors:
@@ -202,18 +213,6 @@ class TestEffectiveFactors:
                 for char, f, count in zip(chars, factors, boxes):
                     assert all(m > 0 for m in char.terms.values()), (mode, a, b, f)
                     assert char.signed_rank() == count(a, b), (mode, a, b, f)
-
-
-class TestTopChernFactor:
-    def test_top_chern_equals_index_at_rank(self):
-        S = surface_p2()
-        a = integrate(
-            S, 1, 1, IntegrandSpec("product", (total_chern_em(), top_chern_em()))
-        )
-        b = integrate(
-            S, 1, 1, IntegrandSpec("product", (total_chern_em(), chern_index_em(2)))
-        )
-        assert a.value == b.value
 
 
 class TestRoleExchange:

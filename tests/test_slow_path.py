@@ -12,9 +12,11 @@ It shares only the character formulas with the engine, which multiplies
 one local factor per fixed point instead.  case3's class counts are
 checked the same way, against the classes of every enumerated
 configuration's tangent.  The top-degree read of all-total effective
-integrands is checked against the series path of the same integrand
-times c_0 = 1, and the rank read of an effective top factor against the
-same local terms with that factor on its v series.  The local terms that
+integrands is checked against the u-series path of the same local terms,
+forced by a grading that reads every entry at u^vdim.  An effective top
+factor, read at its rank, is checked against the slow path and against a
+Fraction v series that expands it in a variable of its own; a virtual
+one is refused.  The local terms that
 an untwisted em factor read at its top degree makes identically zero are
 dropped before evaluation; the full local terms give the same values.
 The fused top-degree read of each local term, one integer fraction of
@@ -39,7 +41,12 @@ from hypothesis import strategies as st
 
 import nesthilb.integrate as integrate_module
 from nesthilb.charalg import Character, Weight, chern_useries, euler_value, top_chern_value
-from nesthilb.errors import InconsistentTangent, SpecializationPole, ZeroWeightInTangent
+from nesthilb.errors import (
+    InconsistentTangent,
+    SpecializationPole,
+    VirtualCharacter,
+    ZeroWeightInTangent,
+)
 from nesthilb.fixedchar import (
     FixedConfig,
     em_char,
@@ -49,6 +56,7 @@ from nesthilb.fixedchar import (
     nested_tangent_char,
 )
 from nesthilb.integrate import (
+    Factor,
     IntegrandSpec,
     _at_chart,
     _chart_grid,
@@ -63,7 +71,6 @@ from nesthilb.integrate import (
     _times,
     _top_terms,
     _twist,
-    chern_index_em,
     integrate,
     tangent_classes,
     top_chern_em,
@@ -149,7 +156,7 @@ def reference_degrees(chars, spec):
     integrator's degree bookkeeping: "top" keeps the signed rank of its
     character."""
     return [
-        (char, {"total": None, "top": char.signed_rank(), "index": f.k}[f.kind])
+        (char, char.signed_rank() if f.kind == "top" else None)
         for char, f in zip(chars, spec.factors)
     ]
 
@@ -300,9 +307,10 @@ def _entry_cases():
         K = canonical_bundle(S)
         specs = {
             "nested-total": IntegrandSpec("nested", (total_chern_em(M),)),
-            "nested-index": IntegrandSpec("nested", (total_chern_em(), chern_index_em(1, M))),
+            # one Chern class of E_M at a fixed index, its rank
+            "nested-index": IntegrandSpec("nested", (total_chern_em(), top_chern_em(M))),
             "product-total-top": IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
-            "product-index": IntegrandSpec("product", (total_chern_em(), chern_index_em(2, M))),
+            "product-index": IntegrandSpec("product", (total_chern_em(), top_chern_em(M))),
             # the single Hilbert scheme: product mode at n2 = 0
             "hilb-tangent": IntegrandSpec("product", (total_chern_tangent(),)),
             "hilb-taut-top": IntegrandSpec("product", (total_chern_em(M), top_chern_taut(K))),
@@ -342,11 +350,10 @@ def _table_cases():
         K = canonical_bundle(S)
         specs = {
             "nested-total": IntegrandSpec("nested", (total_chern_em(M),)),
-            "nested-index": IntegrandSpec("nested", (total_chern_em(), chern_index_em(1, M))),
+            # one Chern class of E_M at a fixed index, its rank
+            "nested-index": IntegrandSpec("nested", (total_chern_em(), top_chern_em(M))),
             "product-total-top": IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
-            "product-index": IntegrandSpec(
-                "product", (total_chern_em_rev(), chern_index_em(2, M))
-            ),
+            "product-index": IntegrandSpec("product", (total_chern_em_rev(), top_chern_em(M))),
             "product-tangent-taut": IntegrandSpec(
                 "product", (total_chern_twisted_tangent(M, slot=2), top_chern_taut(K, slot=2))
             ),
@@ -415,10 +422,11 @@ TOP_DEGREE_SPECS = {
 }
 
 
-def with_unit_index(spec):
-    """``spec`` times c_0 = 1: the same integrand, but an index factor
-    sends it down the u/v series path."""
-    return IntegrandSpec(spec.mode, spec.factors + (chern_index_em(0),))
+def on_the_series(grading, local):
+    """``grading`` sent down the u-series path: every entry reads u^vdim of
+    its factors' Chern series, vdim read off ``local``'s tangents."""
+    reads = {key: terms[0][0].signed_rank() for key, terms in local.items()}
+    return grading._replace(reads=reads, ucut=max(reads.values()), top=False)
 
 
 def is_top(spec, n1, n2):
@@ -432,11 +440,12 @@ class TestTopDegreeRead:
     )
     def test_matches_the_series_path(self, S, M, label):
         spec, n1, n2 = TOP_DEGREE_SPECS[label](M)
-        series = with_unit_index(spec)
-        assert is_top(spec, n1, n2) and not is_top(series, n1, n2)
-        fast, slow = integrate(S, n1, n2, spec), integrate(S, n1, n2, series)
-        assert fast.values == slow.values
-        assert fast.config_counts == slow.config_counts
+        local = _local_terms(spec, n1, n2)
+        grading = _grading(spec, local)
+        assert grading.top
+        fast = integrate(S, n1, n2, spec)
+        for x, y in fast.specializations:
+            assert _evaluate(local, S, x, y, spec, on_the_series(grading, local)) == fast.values
 
     def test_vanishing_factor_weight_is_a_zero_not_a_pole(self):
         # at (1, 4) chart 1 of p2 projects to (X, Y) = (3, -1) and M's
@@ -455,10 +464,9 @@ class TestTopDegreeRead:
             for a, b in char.terms
         }
         assert 0 in weights
-        series = with_unit_index(spec)
-        series_local = _local_terms(series, 2, 2)
-        fast = _evaluate(local, S, x, y, spec, _grading(spec, local))
-        slow = _evaluate(series_local, S, x, y, series, _grading(series, series_local))
+        grading = _grading(spec, local)
+        fast = _evaluate(local, S, x, y, spec, grading)
+        slow = _evaluate(local, S, x, y, spec, on_the_series(grading, local))
         assert fast == slow == integrate(S, 2, 2, spec).values
 
     @pytest.mark.parametrize(
@@ -467,7 +475,8 @@ class TestTopDegreeRead:
             (TOP_DEGREE_SPECS["theorem7"](None)[0], True),  # and theorem5's nested side
             (TOP_DEGREE_SPECS["zprod"](None)[0], True),
             (IntegrandSpec("product", (total_chern_em(), top_chern_em())), False),
-            (IntegrandSpec("nested", (total_chern_em(), chern_index_em(1))), False),
+            # one class at a fixed index, its rank
+            (IntegrandSpec("nested", (total_chern_em(), top_chern_em())), False),
             (IntegrandSpec("product", (total_chern_em(), top_chern_taut(None))), False),
             # ranks 2(n1 + n2) overshoot vdim n1 + n2
             (IntegrandSpec("nested", (total_chern_em(), total_chern_em())), False),
@@ -522,13 +531,59 @@ AT_RANK_SPECS = {
         2,
     ),
     "nested-top": lambda M, K: (IntegrandSpec("nested", (top_chern_em(M),)), 2, 2),
+    # a twisted top em and two top factors
+    "product-top-top": lambda M, K: (
+        IntegrandSpec("product", (top_chern_em(M), total_chern_em_rev(), top_chern_em())), 2, 2
+    ),
 }
 
 
-def on_the_v_series(grading):
-    """``grading`` with the per-factor rank read cleared: every top factor
-    expands its Chern series in its own variable."""
-    return grading._replace(at_rank=(False,) * len(grading.at_rank))
+def top_ranks(spec, local):
+    """By entry, the ranks of its top factors, read off its first local pair."""
+    return {
+        key: tuple(c.signed_rank() for c, f in zip(chars, spec.factors) if f.kind == "top")
+        for key, ((_, chars), *_) in local.items()
+    }
+
+
+def v_series(local, S, x, y, spec, grading, at_rank=False):
+    """Every entry at (x, y) with each top factor expanded, in Fractions, on
+    a Chern series in a variable v_j of its own, and the keys (a, b, v_1, ..)
+    of the chart product: a slow path for reading top factors at their
+    rank.  Entry (a, b) reads v^ranks u^k of that product.  With
+    ``at_rank``, each local term keeps only its top factors' rank degrees."""
+    ranks = top_ranks(spec, local)
+    caps = [max(rs) for rs in zip(*ranks.values())]
+    ucut = grading.ucut
+    grids = []
+    for i, chart in enumerate(S.charts):
+        X, Y = Fraction(chart.w1.value(x, y)), Fraction(chart.w2.value(x, y))
+        grid = {}
+        for key, terms in local.items():
+            for tangent, chars in terms:
+                u = [Fraction(1)] + [Fraction(0)] * ucut
+                parts = [((), 1 / reference_euler(tangent, X, Y))]
+                tops = iter(caps)
+                for char, f in zip(chars, spec.factors):
+                    twist = _twist(f, i).value(x, y)
+                    if f.kind == "total":
+                        c = reference_chern(char, X, Y, ucut, twist)
+                        u = [sum(u[j] * c[k - j] for j in range(k + 1)) for k in range(ucut + 1)]
+                    else:
+                        c = reference_chern(char, X, Y, next(tops), twist)
+                        degrees = [char.signed_rank()] if at_rank else range(len(c))
+                        parts = [(d + (j,), p * c[j]) for d, p in parts for j in degrees if c[j]]
+                for d, p in parts:
+                    acc = grid.setdefault(key + d, [0] * (ucut + 1))
+                    for k, uk in enumerate(u):
+                        acc[k] += p * uk
+        grids.append(grid)
+    product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=ucut), grids)
+    values = {}
+    for key, k in grading.reads.items():
+        series = product.get(key + ranks[key])
+        values[key] = Fraction(series[k]) if series and k >= 0 else Fraction(0)
+    return values, set(product)
 
 
 class TestTopFactorAtRank:
@@ -540,12 +595,12 @@ class TestTopFactorAtRank:
         spec, n1, n2 = AT_RANK_SPECS[label](M, canonical_bundle(S))
         local = _local_terms(spec, n1, n2)
         grading = _grading(spec, local)
-        assert grading.at_rank == tuple(f.kind == "top" for f in spec.factors)
         assert not grading.top
         res = integrate(S, n1, n2, spec)
         for x, y in res.specializations:
             fast = _evaluate(local, S, x, y, spec, grading)
-            assert fast == _evaluate(local, S, x, y, spec, on_the_v_series(grading))
+            assert fast == v_series(local, S, x, y, spec, grading)[0]
+            assert fast == v_series(local, S, x, y, spec, grading, at_rank=True)[0]
             assert fast == res.values
         for (a, b), value in res.values.items():
             assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
@@ -556,20 +611,24 @@ class TestTopFactorAtRank:
     )
     def test_chart_product_holds_only_the_read_v_degrees(self, S, M, label, n1, n2):
         # theorem5's and case2's product sides: the top factor's local ranks
-        # add up over the charts to its entry's rank, so every key of the
-        # chart product is (a, b) plus the v-degrees that entry reads, and
-        # the product needs no cut in v; keys with b > a may drop out, as
-        # the untwisted em's top Chern value is 0 unless Z2 lies in Z1
+        # add up over the charts to its entry's rank, so with every local
+        # term at its rank, each key of the v series' chart product is (a, b)
+        # plus the v-degrees that entry reads.  The v-degrees carry nothing
+        # beyond the sizes, and the engine's chart product is keyed by (a, b)
+        # alone.  Keys with b > a may drop out, as the untwisted em's top
+        # Chern value is 0 unless Z2 lies in Z1
         spec, _, _ = AT_RANK_SPECS[label](M, canonical_bundle(S))
         local = _local_terms(spec, n1, n2)
         grading = _grading(spec, local)
-        assert grading.at_rank == (False, True)
-        assert all(degrees for degrees, _ in grading.reads.values())
+        assert not grading.top
         x, y = integrate(S, n1, n2, spec).specializations[0]  # pole-free
+        read = {key + ranks for key, ranks in top_ranks(spec, local).items()}
+        assert all(len(key) == 3 for key in read)
+        _, keys = v_series(local, S, x, y, spec, grading, at_rank=True)
+        assert {key for key in read if key[1] <= key[0]} <= keys <= read
         grids = [_chart_grid(local, S, i, x, y, spec, grading)[1] for i in range(len(S.charts))]
         product = reduce(partial(_times, n1=n1, n2=n2, ucut=grading.ucut), grids)
-        read = {key + degrees for key, (degrees, _) in grading.reads.items()}
-        assert {key for key in read if key[1] <= key[0]} <= set(product) <= read
+        assert {key[:2] for key in keys} == set(product) <= set(grading.reads)
 
     def test_vanishing_top_weight_is_a_zero_not_a_pole(self):
         # at (1, 4) chart 1 of p2 projects to (X, Y) = (3, -1) and M's
@@ -589,38 +648,42 @@ class TestTopFactorAtRank:
         ]
         assert key == (2, 0)
         grading = _grading(spec, local)
-        assert grading.at_rank == (True,)
-        for g in (grading, on_the_v_series(grading)):
-            _, grid = _chart_grid({key: [term]}, S, i, x, y, spec, g)
-            assert _read(grid, key, g) == 0
-        fast = _evaluate(local, S, x, y, spec, grading)
-        assert fast == _evaluate(local, S, x, y, spec, on_the_v_series(grading))
-        assert fast == integrate(S, n1, n2, spec).values
+        assert not grading.top
+        _, grid = _chart_grid({key: [term]}, S, i, x, y, spec, grading)
+        assert _read(grid, key, grading) == 0
+        assert _evaluate(local, S, x, y, spec, grading) == integrate(S, n1, n2, spec).values
 
     @pytest.mark.parametrize(
-        "spec,at_rank",
+        "spec,top",
         [
-            (IntegrandSpec("product", (total_chern_em(), top_chern_em())), (False, True)),
-            (IntegrandSpec("product", (total_chern_em(), top_chern_taut(None))), (False, True)),
-            (IntegrandSpec("nested", (top_chern_em(),)), (True,)),
+            (IntegrandSpec("product", (total_chern_em(), top_chern_em())), False),
+            (IntegrandSpec("product", (total_chern_em(), top_chern_taut(None))), False),
+            (IntegrandSpec("nested", (top_chern_em(),)), False),
+            # two top factors: each entry reads vdim less both ranks
             (
-                IntegrandSpec("product", (chern_index_em(2), total_chern_em_rev(), top_chern_em())),
-                (False, False, True),
+                IntegrandSpec("product", (top_chern_em(), total_chern_em_rev(), top_chern_em())),
+                False,
             ),
-            (IntegrandSpec("nested", (total_chern_em(), chern_index_em(1))), (False, False)),
-            # read at top degree as a whole, so no factor is at rank
-            (TOP_DEGREE_SPECS["theorem7"](None)[0], (False,)),
+            (IntegrandSpec("nested", (total_chern_em(), top_chern_em())), False),
+            # read at top degree as a whole
+            (TOP_DEGREE_SPECS["theorem7"](None)[0], True),
         ],
         ids=["em", "taut", "nested-em", "index-total-top", "index", "all-total"],
     )
-    def test_decision(self, spec, at_rank):
+    def test_decision(self, spec, top):
+        # an entry reads u at vdim less its top factors' ranks, or u^0 of
+        # one integer when the whole table is read at top degree
         for n1, n2 in ((3, 2), (3, 0)):
-            assert _grading(spec, _local_terms(spec, n1, n2)).at_rank == at_rank
+            local = _local_terms(spec, n1, n2)
+            grading = _grading(spec, local)
+            assert grading.top is top
+            for key, ((tangent, chars), *_) in local.items():
+                ranks = sum(c.signed_rank() for c, f in zip(chars, spec.factors) if f.kind == "top")
+                assert grading.reads[key] == (0 if top else tangent.signed_rank() - ranks)
 
-    def test_virtual_top_factor_keeps_the_v_series(self, monkeypatch):
+    def test_virtual_top_factor_is_refused(self, monkeypatch):
         # the nested scheme's virtual tangent as a top factor: its Chern
-        # series runs past its rank, so reading one value at the rank
-        # would drop the terms of the other degrees
+        # series runs past its rank, so it has no value at the rank
         def virtual_tangent(Z1, Z2, f):
             return nested_tangent_char(Z1, Z2)
 
@@ -628,9 +691,8 @@ class TestTopFactorAtRank:
         S, spec = surface_p2(), IntegrandSpec("nested", (top_chern_em(),))
         local = _local_terms(spec, 3, 1)
         assert any(m < 0 for terms in local.values() for _, (c,) in terms for m in c.terms.values())
-        assert _grading(spec, local).at_rank == (False,)
-        for (a, b), value in integrate(S, 3, 1, spec).values.items():
-            assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
+        with pytest.raises(VirtualCharacter, match="top Chern value of a virtual character"):
+            integrate(S, 3, 1, spec)
 
 
 # the integrands whose untwisted em factor is read at its top degree, at
@@ -692,6 +754,27 @@ class TestNonzeroTerms:
         }[label]
         local = _local_terms(spec, n1, n2)
         assert _nonzero_terms(spec, local, _grading(spec, local)) is local
+
+    def test_only_top_factors_drop_terms_off_top_degree(self):
+        # taut(Z1) holds the weight (0, 0) at every nonempty Z1, but a total
+        # factor read below its top degree is not 0 there: of this spec's
+        # factors only the top em drops terms
+        spec = IntegrandSpec(
+            "product", (Factor("total", "taut", slot=1), total_chern_tangent(1), top_chern_em())
+        )
+        local = _local_terms(spec, 2, 1)
+        grading = _grading(spec, local)
+        assert not grading.top
+        kept = {
+            key: [term for term in terms if not term[1][2].zero_multiplicity()]
+            for key, terms in local.items()
+        }
+        assert _nonzero_terms(spec, local, grading) == {key: ts for key, ts in kept.items() if ts}
+        S = surface_p2()
+        values = integrate(S, 2, 1, spec).values
+        assert values[(1, 0)] and values[(2, 0)]
+        for (a, b), value in values.items():
+            assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
 
 
 # the surfaces of the fused top-degree read: scaled-plane's charts are not a

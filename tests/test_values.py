@@ -93,5 +93,5 @@ def test_reprs_show_the_fields_in_order():
     )
     assert repr(IntegrandSpec("nested", (total_chern_em(),))) == (
         "IntegrandSpec(mode='nested', factors=(Factor(kind='total', klass='em', bundle=None, "
-        "k=None, slot=None),))"
+        "slot=None),))"
     )
