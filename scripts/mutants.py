@@ -78,6 +78,14 @@ CATALOGUE = [
      "prod((a * X + b * Y) ** m for a, b, m, j in factors)",
      "the fused top-degree read drops the factor twist"),
     ("src/nesthilb/integrate.py",
+     'hilb_tangent_char(Z1) if f.klass == "tangent"',
+     'em_char(Z1, Z2) if f.klass == "tangent"',
+     "_local_factor reads the tangent class of Z1 as the extension class em(Z1, Z2)"),
+    ("src/nesthilb/integrate.py",
+     "else Z1  # taut",
+     "else Z1 + Z2  # taut",
+     "_local_factor reads taut of Z1 as Z1 + Z2, the tautological class of both factors"),
+    ("src/nesthilb/integrate.py",
      "if (r := tuple(map(sub, rest, local))) in before",
      "if (r := tuple(map(sub, rest, local))) in before or True",
      "_witness accepts a local term whose remainder no earlier chart product holds"),

@@ -19,7 +19,7 @@ homogeneous of degree 0 in (s1, s2).  Only the Euler class is a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DependentChartWeights, SpecializationPole, VirtualCharacter, ZeroWeightInTangent
@@ -158,40 +158,28 @@ def euler_value(c: Character, x: int, y: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _binomial(m: int, k: int) -> int:
-    """Generalized binomial coefficient C(m, k) for any integer m, k >= 0."""
-    if m >= 0:
-        return comb(m, k)
-    return (-1) ** k * comb(k - m - 1, k)
-
-
 class USeries:
-    """Truncated series in the auxiliary grading variable u, integer coefficients."""
+    """Truncated series in the grading variable u: integer coefficients of u^0 .. u^cutoff."""
 
-    __slots__ = ("coeffs", "cutoff")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int], cutoff: int):
-        cs = list(coeffs)
-        if len(cs) != cutoff + 1:
-            raise ValueError(f"{len(cs)} coefficients for cutoff {cutoff}")
-        self.coeffs = cs
-        self.cutoff = cutoff
+    def __init__(self, coeffs: Iterable[int]):
+        self.coeffs = list(coeffs)
 
     @staticmethod
     def one(cutoff: int) -> "USeries":
-        return USeries([1] + [0] * cutoff, cutoff)
+        return USeries([1] + [0] * cutoff)
 
     def __mul__(self, other: "USeries") -> "USeries":
-        if self.cutoff != other.cutoff:
-            raise ValueError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
-        n = self.cutoff
-        out = [0] * (n + 1)
-        bs = other.coeffs
+        n, bs = len(self.coeffs), other.coeffs
+        if len(bs) != n:
+            raise ValueError(f"length mismatch: {n} vs {len(bs)} coefficients")
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if a:
-                for j in range(n - i + 1):
+                for j in range(n - i):
                     out[i + j] += a * bs[j]
-        return USeries(out, n)
+        return USeries(out)
 
     def __repr__(self):
         return f"USeries({self.coeffs})"
@@ -225,7 +213,7 @@ def chern_useries(c: Character, x: int, y: int, cutoff: int, twist: int = 0) -> 
                 top = cutoff
                 for k in range(1, cutoff + 1):
                     e[k] -= v * e[k - 1]
-    return USeries(e, cutoff)
+    return USeries(e)
 
 
 def top_chern_value(c: Character, x: int, y: int, twist: int = 0) -> int:

@@ -75,24 +75,18 @@ class Factor(Slotted):
 
     kind: "total" (whole Chern series) or "top" (top Chern class only, of
     an effective class: its value at the rank).
-    klass: which K-class the factor is built from (em, em_rev, taut, tangent).
-    slot: 1 or 2 for classes living on a single Hilbert factor (taut,
-    tangent).
+    klass: which K-class the factor is built from: em, the extension class
+    of (Z1, Z2), or taut or tangent, classes of Z1 alone.
     """
 
-    __slots__ = ("kind", "klass", "bundle", "slot")
+    __slots__ = ("kind", "klass", "bundle")
 
-    def __init__(self, kind: str, klass: str, bundle: EquivariantLineBundle | None = None,
-                 slot: int | None = None):
-        self.kind, self.klass, self.bundle, self.slot = kind, klass, bundle, slot
+    def __init__(self, kind: str, klass: str, bundle: EquivariantLineBundle | None = None):
+        self.kind, self.klass, self.bundle = kind, klass, bundle
         if self.kind not in ("total", "top"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.klass not in ("em", "em_rev", "taut", "tangent"):
+        if self.klass not in ("em", "taut", "tangent"):
             raise ValueError(f"unknown factor class {self.klass!r}")
-        if self.klass in ("taut", "tangent") and self.slot not in (1, 2):
-            raise ValueError(f"a {self.klass} factor needs slot 1 or 2, got {self.slot!r}")
-        if self.klass in ("em", "em_rev") and self.slot is not None:
-            raise ValueError(f"an {self.klass} factor takes no slot, got {self.slot!r}")
         if self.bundle is not None and not isinstance(self.bundle, EquivariantLineBundle):
             raise ValueError(f"a factor's twist is a line bundle, got {self.bundle!r}")
 
@@ -105,26 +99,18 @@ def top_chern_em(bundle: EquivariantLineBundle | None = None) -> Factor:
     return Factor("top", "em", bundle)
 
 
-def total_chern_em_rev(bundle: EquivariantLineBundle | None = None) -> Factor:
-    return Factor("total", "em_rev", bundle)
+def total_chern_tangent(bundle: EquivariantLineBundle | None = None) -> Factor:
+    return Factor("total", "tangent", bundle)
 
 
-def total_chern_tangent(slot: int = 1) -> Factor:
-    return Factor("total", "tangent", slot=slot)
-
-
-def total_chern_twisted_tangent(bundle: EquivariantLineBundle, slot: int) -> Factor:
-    return Factor("total", "tangent", bundle, slot=slot)
-
-
-def top_chern_taut(bundle: EquivariantLineBundle, slot: int = 1) -> Factor:
-    return Factor("top", "taut", bundle, slot=slot)
+def top_chern_taut(bundle: EquivariantLineBundle) -> Factor:
+    return Factor("top", "taut", bundle)
 
 
 class IntegrandSpec(Slotted):
     """mode: "nested" (the nested scheme S^[n1,n2]) or "product" (S^[n1] x
-    S^[n2]).  The single Hilbert scheme S^[n] is product mode at n2 = 0,
-    where slot-2 factors see S^[0] (see ``integrate_hilb``)."""
+    S^[n2]).  The single Hilbert scheme S^[n] is product mode at n2 = 0
+    (see ``integrate_hilb``)."""
 
     __slots__ = ("mode", "factors")
 
@@ -162,10 +148,7 @@ def _local_tangent(Z1: Character, Z2: Character, mode: str) -> Character:
 def _local_factor(Z1: Character, Z2: Character, f: Factor) -> Character:
     if f.klass == "em":
         return em_char(Z1, Z2)
-    if f.klass == "em_rev":
-        return em_char(Z2, Z1)
-    Z = Z1 if f.slot == 1 else Z2
-    return hilb_tangent_char(Z) if f.klass == "tangent" else Z  # taut
+    return hilb_tangent_char(Z1) if f.klass == "tangent" else Z1  # taut
 
 
 # by local sizes (a, b): per local pair, the local tangent and factor characters
@@ -464,7 +447,8 @@ def integrate_hilb(
     S: ToricSurfaceDescriptor, n: int, spec: IntegrandSpec, seed: int = 0
 ) -> InvariantResult:
     """Localization over the single Hilbert scheme S^[n] = S^[n] x S^[0]:
-    a product spec at (n, 0), so slot-1 factors live on S^[n]."""
+    a product spec at (n, 0), so taut and tangent factors, classes of Z1,
+    live on S^[n]."""
     if spec.mode != "product":
         raise ValueError(f"integrate_hilb needs a 'product' spec, got mode {spec.mode!r}")
     return integrate(S, n, 0, spec, seed=seed)

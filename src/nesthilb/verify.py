@@ -12,9 +12,9 @@ tangent class from local terms, with 2n + 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
-from .charalg import _binomial
 from .errors import InconsistentTangent, InvalidNesting, NestHilbError
 from .integrate import (
     IntegrandSpec,
@@ -91,6 +91,13 @@ def theorem7_rhs(
     factors = [(m, expo) for n in range(1, nmax + 1) for m, expo in (((n, n - 1), A), ((n, n), B))]
     series = _eta_product(factors, nmax)
     return {key: Fraction(series.get(key, 0)) for key in _table_keys(nmax)}
+
+
+def _binomial(m: int, k: int) -> int:
+    """Generalized binomial coefficient C(m, k) for any integer m, k >= 0."""
+    if m >= 0:
+        return comb(m, k)
+    return (-1) ** k * comb(k - m - 1, k)
 
 
 def _eta_product(factors, nmax: int) -> dict[tuple[int, int], int]:

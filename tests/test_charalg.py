@@ -8,7 +8,6 @@ from nesthilb.charalg import (
     Character,
     USeries,
     Weight,
-    _binomial,
     chern_useries,
     euler_value,
     substitute_chart,
@@ -22,6 +21,7 @@ from nesthilb.errors import (
 )
 from nesthilb.fixedchar import nested_tangent_char
 from nesthilb.partitions import Partition, box_char
+from nesthilb.verify import _binomial
 
 t1 = Character.monomial(1, 0)
 t2 = Character.monomial(0, 1)
@@ -272,9 +272,14 @@ class TestChernSeries:
 
 class TestUSeries:
     def test_truncated_multiplication(self):
-        a = USeries([1, 2, 3], 2)
-        b = USeries([1, -1, 0], 2)
+        a = USeries([1, 2, 3])
+        b = USeries([1, -1, 0])
         assert (a * b).coeffs == [1, 1, 1]
+
+    def test_different_lengths_are_refused(self):
+        # the cutoff is the length less one: two cutoffs cannot be multiplied
+        with pytest.raises(ValueError, match=r"^length mismatch: 3 vs 2 coefficients$"):
+            USeries([1, 2, 3]) * USeries.one(1)
 
 
 class TestBinomial:

@@ -18,9 +18,7 @@ from nesthilb.integrate import (
     top_chern_em,
     top_chern_taut,
     total_chern_em,
-    total_chern_em_rev,
     total_chern_tangent,
-    total_chern_twisted_tangent,
 )
 from nesthilb.toric import (
     EquivariantLineBundle,
@@ -66,32 +64,36 @@ class TestSpecValidation:
             IntegrandSpec("hilb")
 
     @pytest.mark.parametrize(
-        "kind,klass,bundle,slot,match",
+        "kind,klass,bundle,match",
         [
-            ("bottom", "em", None, None, "kind"),
-            ("index", "em", None, None, "kind"),  # c_k: no check integrates one
-            ("total", "chern", None, None, "class"),
-            ("total", "tangent", None, None, "slot"),  # no slot: misread as slot 2
-            ("total", "tangent", None, 3, "slot"),
-            ("total", "taut", canonical_bundle(surface_p2()), None, "slot"),
-            ("top", "taut", None, 0, "slot"),
-            ("total", "em_rev", None, 1, "takes no slot"),
-            ("top", "em", 7, 2, "takes no slot"),  # the slot is refused before the twist
+            ("bottom", "em", None, "kind"),
+            ("index", "em", None, "kind"),  # c_k: no check integrates one
+            ("total", "chern", None, "class"),
+            ("total", "em_rev", None, "class"),  # em(Z2, Z1): no check integrates one
             # a degree where the twist goes: it would fail only at the first chart
-            ("total", "em", 3, None, "twist"),
-            ("top", "taut", "K", 1, "twist"),
+            ("total", "em", 3, "twist"),
+            ("top", "taut", "K", "twist"),
         ],
     )
-    def test_factor_rejects_what_it_would_misread(self, kind, klass, bundle, slot, match):
+    def test_factor_rejects_what_it_would_misread(self, kind, klass, bundle, match):
         with pytest.raises(ValueError, match=match):
-            Factor(kind, klass, bundle, slot=slot)
+            Factor(kind, klass, bundle)
 
     def test_factor_accepts_the_constructors(self):
         K = canonical_bundle(surface_p2())
-        for slot in (1, 2):
-            Factor("total", "tangent", slot=slot)
-            Factor("top", "taut", K, slot=slot)
-        Factor("total", "em_rev")
+        assert total_chern_tangent() == Factor("total", "tangent")
+        assert total_chern_tangent(K) == Factor("total", "tangent", K)
+        assert top_chern_taut(K) == Factor("top", "taut", K)
+
+    def test_no_factor_takes_a_slot(self):
+        # taut and tangent are classes of Z1, the first Hilbert factor
+        K = canonical_bundle(surface_p2())
+        with pytest.raises(TypeError, match="slot"):
+            Factor("total", "tangent", slot=1)
+        with pytest.raises(TypeError, match="slot"):
+            total_chern_tangent(slot=1)
+        with pytest.raises(TypeError, match="slot"):
+            top_chern_taut(K, slot=1)
 
 
 class TestEulerNumberCalibration:
@@ -106,7 +108,7 @@ class TestEulerNumberCalibration:
     def test_twisted_tangent_untwisted_agrees(self):
         S = surface_p2()
         O = S.bundle("O")
-        spec = IntegrandSpec("product", (total_chern_twisted_tangent(O, slot=1),))
+        spec = IntegrandSpec("product", (total_chern_tangent(O),))
         assert integrate_hilb(S, 1, spec).value == 3
 
 
@@ -148,16 +150,13 @@ class TestDeterminismAndConstancy:
 
 class TestVanishingAboveTopDegree:
     # c(E_M) read above its rank n1 + n2 on the u series: vdim 2(n1 + n2)
-    # less the rank of a taut top factor on a slot whose other size is
-    # positive
-    @pytest.mark.parametrize("n1,n2", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    # less the rank n1 of a taut top factor, with n2 positive
+    @pytest.mark.parametrize("n1,n2", [(0, 1), (1, 1), (2, 1), (2, 2)])
     def test_both_surfaces(self, n1, n2):
         for S in (surface_p2(), surface_p1xp1()):
             K = canonical_bundle(S)
-            for slot, other in ((1, n2), (2, n1)):
-                if other:
-                    spec = IntegrandSpec("product", (total_chern_em(K), top_chern_taut(K, slot)))
-                    assert integrate(S, n1, n2, spec).value == 0
+            spec = IntegrandSpec("product", (total_chern_em(K), top_chern_taut(K)))
+            assert integrate(S, n1, n2, spec).value == 0
 
 
 class TestTopChernFactor:
@@ -182,13 +181,13 @@ class TestDegreesFromLocalTerms:
 
     def test_product(self):
         K = canonical_bundle(surface_p2())
-        factors = (top_chern_em(), Factor("top", "taut", K, slot=2), Factor("top", "tangent", slot=1))
+        factors = (top_chern_em(), Factor("top", "taut", K), Factor("top", "tangent"))
         spec = IntegrandSpec("product", factors)
         reads = _grading(spec, _local_terms(spec, 2, 3)).reads
         assert list(reads) == [(a, b) for a in range(3) for b in range(4)]
         for (a, b), k in reads.items():
-            # vdim 2(n1 + n2) less the top factors' ranks a + b, b and 2a
-            assert k == 2 * (a + b) - (a + b + b + 2 * a)
+            # vdim 2(n1 + n2) less the top factors' ranks a + b, a and 2a
+            assert k == 2 * (a + b) - (a + b + a + 2 * a)
 
 
 class TestEffectiveFactors:
@@ -196,11 +195,8 @@ class TestEffectiveFactors:
     # one term of multiplicity +1 per box its arm/leg sum runs over
     FACTORS = (
         (Factor("total", "em"), lambda a, b: a + b),
-        (Factor("total", "em_rev"), lambda a, b: a + b),
-        (Factor("total", "taut", slot=1), lambda a, b: a),
-        (Factor("total", "taut", slot=2), lambda a, b: b),
-        (Factor("total", "tangent", slot=1), lambda a, b: 2 * a),
-        (Factor("total", "tangent", slot=2), lambda a, b: 2 * b),
+        (Factor("total", "taut"), lambda a, b: a),
+        (Factor("total", "tangent"), lambda a, b: 2 * a),
     )
 
     @pytest.mark.parametrize("mode,nmax,pairs", [("product", 6, 900), ("nested", 8, 862)])
@@ -213,19 +209,6 @@ class TestEffectiveFactors:
                 for char, f, count in zip(chars, factors, boxes):
                     assert all(m > 0 for m in char.terms.values()), (mode, a, b, f)
                     assert char.signed_rank() == count(a, b), (mode, a, b, f)
-
-
-class TestRoleExchange:
-    def test_product_series_symmetric_under_conjugated_swap(self):
-        S = surface_p2()
-        a = integrate(
-            S, 2, 1, IntegrandSpec("product", (total_chern_em(), total_chern_em()))
-        ).value
-        b = integrate(
-            S, 1, 2,
-            IntegrandSpec("product", (total_chern_em_rev(), total_chern_em_rev())),
-        ).value
-        assert a == b
 
 
 def _refused_message(M: EquivariantLineBundle, S: ToricSurfaceDescriptor) -> str:

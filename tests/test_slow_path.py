@@ -76,9 +76,7 @@ from nesthilb.integrate import (
     top_chern_em,
     top_chern_taut,
     total_chern_em,
-    total_chern_em_rev,
     total_chern_tangent,
-    total_chern_twisted_tangent,
 )
 from nesthilb.partitions import Partition, box_char, nested_pairs, partitions_of
 from nesthilb.toric import (
@@ -353,9 +351,9 @@ def _table_cases():
             # one Chern class of E_M at a fixed index, its rank
             "nested-index": IntegrandSpec("nested", (total_chern_em(), top_chern_em(M))),
             "product-total-top": IntegrandSpec("product", (total_chern_em(M), top_chern_em())),
-            "product-index": IntegrandSpec("product", (total_chern_em_rev(), top_chern_em(M))),
+            "product-index": IntegrandSpec("product", (total_chern_em(), top_chern_em(M))),
             "product-tangent-taut": IntegrandSpec(
-                "product", (total_chern_twisted_tangent(M, slot=2), top_chern_taut(K, slot=2))
+                "product", (total_chern_tangent(M), top_chern_taut(K))
             ),
             "hilb-tangent": IntegrandSpec("product", (total_chern_tangent(),)),
             "hilb-taut-top": IntegrandSpec("product", (total_chern_em(M), top_chern_taut(K))),
@@ -411,14 +409,7 @@ TOP_DEGREE_SPECS = {
     "theorem7": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 3, 3),
     "case2-nested": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 3, 0),
     "zprod": lambda M: (IntegrandSpec("product", (total_chern_em(), total_chern_em(M))), 3, 3),
-    "nested-em_rev": lambda M: (IntegrandSpec("nested", (total_chern_em_rev(M),)), 3, 3),
-    "product-em-em_rev": lambda M: (
-        IntegrandSpec("product", (total_chern_em(M), total_chern_em_rev())), 3, 3
-    ),
     "hilb-tangent": lambda M: (IntegrandSpec("product", (total_chern_tangent(),)), 3, 0),
-    "product-tangents": lambda M: (
-        IntegrandSpec("product", (total_chern_tangent(1), total_chern_twisted_tangent(M, 2))), 3, 3
-    ),
 }
 
 
@@ -524,16 +515,12 @@ AT_RANK_SPECS = {
         IntegrandSpec("product", (total_chern_em(M), top_chern_taut(K))), 3, 0
     ),
     "product-tangent-taut": lambda M, K: (
-        IntegrandSpec(
-            "product", (total_chern_twisted_tangent(M, slot=2), top_chern_taut(K, slot=2))
-        ),
-        2,
-        2,
+        IntegrandSpec("product", (total_chern_tangent(M), top_chern_taut(K))), 2, 2
     ),
     "nested-top": lambda M, K: (IntegrandSpec("nested", (top_chern_em(M),)), 2, 2),
     # a twisted top em and two top factors
     "product-top-top": lambda M, K: (
-        IntegrandSpec("product", (top_chern_em(M), total_chern_em_rev(), top_chern_em())), 2, 2
+        IntegrandSpec("product", (top_chern_em(M), total_chern_em(), top_chern_em())), 2, 2
     ),
 }
 
@@ -660,10 +647,7 @@ class TestTopFactorAtRank:
             (IntegrandSpec("product", (total_chern_em(), top_chern_taut(None))), False),
             (IntegrandSpec("nested", (top_chern_em(),)), False),
             # two top factors: each entry reads vdim less both ranks
-            (
-                IntegrandSpec("product", (top_chern_em(), total_chern_em_rev(), top_chern_em())),
-                False,
-            ),
+            (IntegrandSpec("product", (top_chern_em(), total_chern_em(), top_chern_em())), False),
             (IntegrandSpec("nested", (total_chern_em(), top_chern_em())), False),
             # read at top degree as a whole
             (TOP_DEGREE_SPECS["theorem7"](None)[0], True),
@@ -760,7 +744,7 @@ class TestNonzeroTerms:
         # factor read below its top degree is not 0 there: of this spec's
         # factors only the top em drops terms
         spec = IntegrandSpec(
-            "product", (Factor("total", "taut", slot=1), total_chern_tangent(1), top_chern_em())
+            "product", (Factor("total", "taut"), total_chern_tangent(), top_chern_em())
         )
         local = _local_terms(spec, 2, 1)
         grading = _grading(spec, local)

@@ -92,6 +92,5 @@ def test_reprs_show_the_fields_in_order():
         "Weight(a=-1, b=2)))"
     )
     assert repr(IntegrandSpec("nested", (total_chern_em(),))) == (
-        "IntegrandSpec(mode='nested', factors=(Factor(kind='total', klass='em', bundle=None, "
-        "slot=None),))"
+        "IntegrandSpec(mode='nested', factors=(Factor(kind='total', klass='em', bundle=None),))"
     )
