@@ -70,9 +70,14 @@ class TestSpecValidation:
             ("index", "em", None, "kind"),  # c_k: no check integrates one
             ("total", "chern", None, "class"),
             ("total", "em_rev", None, "class"),  # em(Z2, Z1): no check integrates one
+            ("top", "em_rev", None, "class"),
+            ("total", "Tangent", None, "class"),  # classes are matched exactly
+            ("Top", "em", None, "kind"),
             # a degree where the twist goes: it would fail only at the first chart
             ("total", "em", 3, "twist"),
             ("top", "taut", "K", "twist"),
+            ("top", "tangent", 7, "twist"),
+            ("total", "taut", (1, 0), "twist"),  # a weight, not a bundle
         ],
     )
     def test_factor_rejects_what_it_would_misread(self, kind, klass, bundle, match):

@@ -410,6 +410,13 @@ TOP_DEGREE_SPECS = {
     "case2-nested": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 3, 0),
     "zprod": lambda M: (IntegrandSpec("product", (total_chern_em(), total_chern_em(M))), 3, 3),
     "hilb-tangent": lambda M: (IntegrandSpec("product", (total_chern_tangent(),)), 3, 0),
+    # the kept classes of Z1, twisted, alone or beside em: ranks a + a,
+    # 2a, a on vdim 2a (product at n2 = 0) and a (nested at n2 = 0)
+    "hilb-em-taut": lambda M: (
+        IntegrandSpec("product", (total_chern_em(M), Factor("total", "taut", M))), 3, 0
+    ),
+    "hilb-twisted-tangent": lambda M: (IntegrandSpec("product", (total_chern_tangent(M),)), 3, 0),
+    "nested-taut": lambda M: (IntegrandSpec("nested", (Factor("total", "taut", M),)), 3, 0),
 }
 
 
