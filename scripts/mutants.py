@@ -89,6 +89,10 @@ CATALOGUE = [
      "if (r := tuple(map(sub, rest, local))) in before",
      "if (r := tuple(map(sub, rest, local))) in before or True",
      "_witness accepts a local term whose remainder no earlier chart product holds"),
+    ("src/nesthilb/integrate.py",
+     "        if virtual:",
+     "        if False:",
+     "integrate refuses a virtual top factor only at the first draw, without naming it"),
     ("src/nesthilb/toric.py",
      "_PAIRING_NPOINTS = 2",
      "_PAIRING_NPOINTS = 1",

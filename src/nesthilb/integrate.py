@@ -17,10 +17,11 @@ in u.  "Total" factors are graded by u.  An effective Chern series stops at
 its rank, so a "top" factor (theorem5's product side, case2's Hilbert side)
 is one value per local term, its top Chern value, and each entry reads u at
 vdim less its top factors' ranks: every rank is linear in the sizes.  A
-virtual top factor has no such value and is refused.  If all factors are
-total and effective and their ranks add up to vdim (theorem7, zprod, the
-nested sides), each local term is read at its top degree: flattened once per
-call (``_top_terms``), it is one integer fraction of products of weight values.
+virtual top factor has no such value and is refused before any draw.  If
+all factors are total and effective and their ranks add up to vdim
+(theorem7, zprod, the nested sides), each local term is read at its top
+degree: flattened once per call (``_top_terms``), it is one integer
+fraction of products of weight values.
 A factor read at its top degree with no bundle is 0 at every chart and
 point on a local term whose character holds the weight (0, 0), so such
 terms are dropped before evaluation (``_nonzero_terms``).  The untwisted
@@ -55,7 +56,7 @@ from typing import Callable, NamedTuple
 from .charalg import Character, Slotted, USeries, Weight, chern_useries, euler_value
 from .charalg import top_chern_value
 from .charalg import substitute_chart  # the oracle's only, and bound for the benchmark trace
-from .errors import InvalidNesting, SpecializationPole, ZeroWeightInTangent
+from .errors import InvalidNesting, SpecializationPole, VirtualCharacter, ZeroWeightInTangent
 from .fixedchar import (  # enumerate_configs: never called, bound for the benchmark trace
     FixedConfig,
     em_char,
@@ -424,6 +425,13 @@ def integrate(
         raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode {spec.mode!r}")
     S.check_bundles(*(f.bundle for f in spec.factors))
     local = _local_terms(spec, n1, n2)
+    where = f"{S.name} ({n1}, {n2}, {spec.mode})"
+    for j, f in enumerate(spec.factors):  # before any draw: a virtual top factor has no value
+        virtual = f.kind == "top" and next((key for key, ts in local.items() for _, cs in ts
+                                            if any(m < 0 for m in cs[j].terms.values())), None)
+        if virtual:
+            raise VirtualCharacter(f"top Chern value of a virtual character on {where}: "
+                                   f"factor {j} ({f.klass}) at local sizes {virtual}")
     grading = _grading(spec, local)
     terms = _nonzero_terms(spec, local, grading)
     terms = _top_terms(terms) if grading.top else terms
@@ -432,7 +440,7 @@ def integrate(
         lambda x, y: _vertex_product(terms, S, x, y, spec, grading),
         lambda: random_point(rng),
         _NPOINTS,
-        f"{S.name} ({n1}, {n2}, {spec.mode})",
+        where,
     )
     return InvariantResult(
         values=values,

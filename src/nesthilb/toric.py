@@ -17,7 +17,6 @@ Charts, bundles and surfaces are checked when made, immutable by convention.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -215,6 +214,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
     bundle weights must satisfy the GKM conditions (``_check_edges``); K's
     then do too.
     """
+    import json  # here, so that `import nesthilb` loads no json
+
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("surface descriptor must be a JSON object")

@@ -16,7 +16,7 @@ integrands is checked against the u-series path of the same local terms,
 forced by a grading that reads every entry at u^vdim.  An effective top
 factor, read at its rank, is checked against the slow path and against a
 Fraction v series that expands it in a variable of its own; a virtual
-one is refused.  The local terms that
+one is refused before any point is drawn.  The local terms that
 an untwisted em factor read at its top degree makes identically zero are
 dropped before evaluation; the full local terms give the same values.
 The fused top-degree read of each local term, one integer fraction of
@@ -684,6 +684,30 @@ class TestTopFactorAtRank:
         assert any(m < 0 for terms in local.values() for _, (c,) in terms for m in c.terms.values())
         with pytest.raises(VirtualCharacter, match="top Chern value of a virtual character"):
             integrate(S, 3, 1, spec)
+
+    def test_virtual_top_factor_is_refused_before_any_draw(self, monkeypatch):
+        # the refusal names where it happened, and no point is drawn for it
+        def virtual_tangent(Z1, Z2, f):
+            return nested_tangent_char(Z1, Z2) if f.kind == "top" else em_char(Z1, Z2)
+
+        def no_draw(rng):
+            raise AssertionError("a point was drawn for a virtual top factor")
+
+        monkeypatch.setattr(integrate_module, "_local_factor", virtual_tangent)
+        monkeypatch.setattr(integrate_module, "random_point", no_draw)
+        S, spec = surface_p2(), IntegrandSpec("nested", (total_chern_em(), top_chern_em()))
+        with pytest.raises(VirtualCharacter) as refused:
+            integrate(S, 3, 1, spec)
+        message = str(refused.value)
+        assert "top Chern value of a virtual character" in message
+        assert "p2 (3, 1, nested)" in message
+        assert "factor 1 (em)" in message
+        # the first local sizes whose nested tangent has a negative multiplicity
+        local = _local_terms(spec, 3, 1)
+        first = next(key for key, ts in local.items()
+                     if any(m < 0 for _, (_, c) in ts for m in c.terms.values()))
+        assert first != (0, 0)
+        assert f"local sizes {first}" in message
 
 
 # the integrands whose untwisted em factor is read at its top degree, at

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,27 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     added = set(ast.literal_eval(out[1]))
     assert module in added
     assert added & {"dataclasses", "inspect"} == set()
+    # json is loaded by the CLI, for its reports, and not by the package,
+    # whose only JSON is a surface descriptor (parsed where it is read)
+    assert ("json" in added) == (module == "nesthilb.cli")
+
+
+def test_descriptor_parses_after_a_bare_package_import():
+    # surface_from_json imports json itself, so it works after `import
+    # nesthilb` alone; the descriptor is the README's
+    descriptor = {"name": "custom-plane", "fixed_points": [
+        {"w1": [1, 0], "w2": [0, 1], "bundles": {"L": [0, 0]}},
+        {"w1": [-1, 1], "w2": [-1, 0], "bundles": {"L": [-1, 0]}},
+        {"w1": [0, -1], "w2": [1, -1], "bundles": {"L": [0, -1]}},
+    ]}
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import nesthilb; "
+        f"S = nesthilb.toric.surface_from_json({json.dumps(descriptor)!r}); "
+        "print(S.name, len(S.charts), [lab for lab, _ in S.named_bundles])"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["custom-plane 3 ['L']"]
 
 
 def test_no_package_attribute_shadows_a_module():
