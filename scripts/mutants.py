@@ -126,9 +126,17 @@ CATALOGUE = [
      "if value.denominator < 0:",
      "zprod_table's integrality refusal is switched off"),
     ("src/nesthilb/fixedchar.py",
-     "(-1, one, two)",
-     "(-1, two, one)",
+     "_add_em(out, -1, Z1, Z2)",
+     "_add_em(out, -1, Z2, Z1)",
      "the nested tangent subtracts em(Z2, Z1) in place of em(Z1, Z2)"),
+    ("src/nesthilb/fixedchar.py",
+     "in hilb_tangent_char(Z2).terms.items()",
+     "in hilb_tangent_char(Z1).terms.items()",
+     "the nested tangent reads Z1's Hilbert tangent twice, in place of T(Z1) + T(Z2)"),
+    ("src/nesthilb/partitions.py",
+     "sum(p > i for p in mu.parts)",
+     "sum(p >= i for p in mu.parts)",
+     "box_char's column lengths are off by one: column i carries the length of column i - 1"),
     ("src/nesthilb/fixedchar.py",
      "col2.get(i, 0) - j - 1)",
      "col2.get(i, 0) - j)",

@@ -12,11 +12,13 @@ effective of rank n1 + n2 by construction.  Z1 is the outer partition
 em_char(Z, Z): the nested tangent T1 + T2 - Ext(Z1, Z2) reduces to it at
 Z1 = Z2 and has signed rank n1 + n2.
 
-Each character is built in one dict: the row and column lengths of each
-argument are counted once, and the nested tangent is one signed
-accumulation em(Z1, Z1) + em(Z2, Z2) - em(Z1, Z2).  The order of the
-arguments matters: em(Z2, Z1) in place of em(Z1, Z2) is wrong on most
-nested pairs.
+Every argument is a ``partitions.box_char``, built once per partition,
+and the lengths are the ones it carries.  A partition's Hilbert tangent
+is built once as well and kept on its box character, so the nested
+tangent copies T(Z1), adds T(Z2) and subtracts em(Z1, Z2) in one fresh
+dict, and changes no cached character.  The order of the arguments
+matters: em(Z2, Z1) in place of em(Z1, Z2) is wrong on most nested
+pairs.
 """
 
 from __future__ import annotations
@@ -26,47 +28,41 @@ from typing import Iterator, NamedTuple
 
 from .charalg import Character
 from .errors import InvalidNesting
-from .partitions import Partition, box_char, nested_pairs, partitions_of
+from .partitions import BoxCharacter, Partition, box_char, nested_pairs, partitions_of
 from .toric import ToricSurfaceDescriptor
 
 
-def nested_tangent_char(Z1: Character, Z2: Character) -> Character:
+def nested_tangent_char(Z1: BoxCharacter, Z2: BoxCharacter) -> Character:
     """Virtual tangent character of the nested scheme at one chart."""
-    one, two = _with_lengths(Z1), _with_lengths(Z2)
-    return _signed_em((1, one, one), (1, two, two), (-1, one, two))
+    out = dict(hilb_tangent_char(Z1).terms)
+    for k, v in hilb_tangent_char(Z2).terms.items():
+        out[k] = out.get(k, 0) + v
+    return _add_em(out, -1, Z1, Z2)
 
 
-def hilb_tangent_char(Z: Character) -> Character:
-    """Tangent character of the (smooth) Hilbert scheme of points at one chart."""
-    return em_char(Z, Z)
+def hilb_tangent_char(Z: BoxCharacter) -> Character:
+    """Tangent character of the (smooth) Hilbert scheme of points at one
+    chart, built once per box character and kept on it."""
+    if Z.tangent is None:
+        Z.tangent = em_char(Z, Z)
+    return Z.tangent
 
 
-def em_char(Z1: Character, Z2: Character) -> Character:
+def em_char(Z1: BoxCharacter, Z2: BoxCharacter) -> Character:
     """Local character of the virtual extension class of rank n1 + n2:
     one term per box of Z1 and of Z2 (see the module docstring)."""
-    return _signed_em((1, _with_lengths(Z1), _with_lengths(Z2)))
+    return _add_em({}, 1, Z1, Z2)
 
 
-def _with_lengths(Z: Character) -> tuple[dict, dict[int, int], dict[int, int]]:
-    """The boxes of Z with its row lengths by j and column lengths by i."""
-    rows, cols = {}, {}
-    for i, j in Z.terms:
-        rows[j] = rows.get(j, 0) + 1
-        cols[i] = cols.get(i, 0) + 1
-    return Z.terms, rows, cols
-
-
-def _signed_em(*terms) -> Character:
-    """The sum of sign * em(Z1, Z2) over the (sign, Z1, Z2) in ``terms``,
-    each Z given by ``_with_lengths``, added up in one dict."""
-    out: dict[tuple[int, int], int] = {}
-    for sign, (boxes1, row1, col1), (boxes2, row2, col2) in terms:
-        for i, j in boxes1:
-            k = (i - row1[j], col2.get(i, 0) - j - 1)
-            out[k] = out.get(k, 0) + sign
-        for i, j in boxes2:
-            k = (row2[j] - i - 1, j - col1.get(i, 0))
-            out[k] = out.get(k, 0) + sign
+def _add_em(out: dict, sign: int, Z1: BoxCharacter, Z2: BoxCharacter) -> Character:
+    """``out`` plus sign * em(Z1, Z2), added up in ``out`` itself."""
+    row1, col1, row2, col2 = Z1.rows, Z1.cols, Z2.rows, Z2.cols
+    for i, j in Z1.terms:
+        k = (i - row1[j], col2.get(i, 0) - j - 1)
+        out[k] = out.get(k, 0) + sign
+    for i, j in Z2.terms:
+        k = (row2[j] - i - 1, j - col1.get(i, 0))
+        out[k] = out.get(k, 0) + sign
     return Character(out)
 
 

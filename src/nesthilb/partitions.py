@@ -1,5 +1,6 @@
 """Integer partitions, checked when made, built once and immutable by
-convention (``Slotted``); boxwise-nested pairs are ``(outer, inner)`` tuples."""
+convention (``Slotted``); boxwise-nested pairs are ``(outer, inner)`` tuples.
+A partition's box character is built once as well and carries its lengths."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ class Partition(Slotted):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        self.parts = parts
+        self.parts = tuple(parts)
+        if any(type(p) is not int for p in self.parts):
+            raise ValueError(f"parts must be integers: {self.parts}")
         if any(p <= 0 for p in self.parts):
             raise ValueError(f"parts must be positive: {self.parts}")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
@@ -67,6 +70,20 @@ def nested_pairs(n1: int, n2: int) -> list[tuple[Partition, Partition]]:
     return [(mu1, mu2) for mu1 in partitions_of(n1) for mu2 in inner if mu1.contains(mu2)]
 
 
-def box_char(mu: Partition) -> Character:
-    """Sum of t1^i t2^j over the boxes of mu."""
-    return Character({(i, j): 1 for j, part in enumerate(mu.parts) for i in range(part)})
+class BoxCharacter(Character):
+    """A partition's box character with its row lengths by j, column lengths by
+    i and Hilbert tangent (None until ``fixedchar.hilb_tangent_char`` builds it)."""
+
+    __slots__ = ("rows", "cols", "tangent")
+
+    def __init__(self, mu: Partition):
+        super().__init__({(i, j): 1 for j, part in enumerate(mu.parts) for i in range(part)})
+        self.rows = dict(enumerate(mu.parts))
+        self.cols = {i: sum(p > i for p in mu.parts) for i in range(max(mu.parts, default=0))}
+        self.tangent = None
+
+
+@lru_cache(maxsize=None)
+def box_char(mu: Partition) -> BoxCharacter:
+    """Sum of t1^i t2^j over the boxes of mu, built once per partition."""
+    return BoxCharacter(mu)

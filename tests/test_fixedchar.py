@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from nesthilb import fixedchar, partitions
 from nesthilb.charalg import Character
 from nesthilb.errors import InvalidNesting
 from nesthilb.fixedchar import (
@@ -11,10 +14,11 @@ from nesthilb.fixedchar import (
 from nesthilb.integrate import _tangent_character
 from nesthilb.partitions import EMPTY, Partition, box_char, nested_pairs, partitions_of
 from nesthilb.toric import surface_p1xp1, surface_p2
+from nesthilb.verify import case3_check
 from test_slow_path import bar
 
-ZERO = Character()
-ONE = Character.monomial(0, 0)
+ZERO = box_char(EMPTY)
+ONE = box_char(Partition((1,)))
 
 
 def lc(terms):
@@ -102,6 +106,49 @@ class TestEmChar:
             for mu2 in partitions_of(2):
                 Z1, Z2 = box_char(mu1), box_char(mu2)
                 assert em_char(Z2, Z1) == bar(em_char(Z1, Z2)) * inv
+
+
+class TestBuiltOncePerPartition:
+    def test_case3_builds_each_box_character_and_tangent_at_most_once(self, monkeypatch):
+        # case3 at nmax 7 takes 840 local pairs from the 67 partitions of 0..8
+        built = Counter()
+
+        class Counted(partitions.BoxCharacter):
+            __slots__ = ()
+
+            def __init__(self, mu):
+                built["box"] += 1
+                super().__init__(mu)
+
+        em = fixedchar.em_char
+
+        def counted_em(Z1, Z2):
+            built["tangent"] += Z1 is Z2
+            return em(Z1, Z2)
+
+        monkeypatch.setattr(partitions, "BoxCharacter", Counted)
+        monkeypatch.setattr(fixedchar, "em_char", counted_em)
+        box_char.cache_clear()
+        try:
+            case3_check(surface_p1xp1(), 7)
+        finally:
+            box_char.cache_clear()
+        distinct = sum(len(partitions_of(n)) for n in range(9))
+        assert distinct == 67
+        assert 0 < built["box"] <= distinct
+        assert 0 < built["tangent"] <= distinct
+
+    def test_nested_tangent_changes_no_cached_character(self):
+        def cached(Z1, Z2):
+            return [dict(c.terms) for c in (Z1, Z2, hilb_tangent_char(Z1), hilb_tangent_char(Z2))]
+
+        for n1 in range(5):
+            for n2 in range(n1 + 1):
+                for outer, inner in nested_pairs(n1, n2):
+                    Z1, Z2 = box_char(outer), box_char(inner)
+                    before = cached(Z1, Z2)
+                    nested_tangent_char(Z1, Z2)
+                    assert cached(Z1, Z2) == before
 
 
 def brute_force_config_count(npoints, n1, n2):

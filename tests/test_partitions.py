@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +75,20 @@ class TestPartition:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(2.0, 1), (True,), (2, False), ("2",), (None,)],
+                             ids=["float", "true", "false", "str", "none"])
+    def test_non_integer_parts_rejected(self, parts):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(parts)
+
+    def test_parts_are_stored_as_a_tuple(self):
+        mu = Partition([2, 1])
+        assert mu.parts == (2, 1)
+        assert mu == Partition((2, 1))
+        assert hash(mu) == hash(Partition((2, 1)))
+        assert mu in partitions_of(3)
+        assert box_char(mu) is box_char(partitions_of(3)[1])
 
 
 class TestNestedPairs:
@@ -178,3 +194,16 @@ class TestBoxChar:
     def test_box_multiplicities_are_one(self, n):
         for mu in partitions_of(n):
             assert all(v == 1 for v in box_char(mu).terms.values())
+
+    def test_built_once_per_partition(self):
+        for n in range(9):
+            for mu in partitions_of(n):
+                assert box_char(mu) is box_char(mu)
+                assert box_char(mu) is box_char(Partition(mu.parts))
+
+    def test_carried_lengths_are_those_of_the_boxes(self):
+        for n in range(9):
+            for mu in partitions_of(n):
+                Z = box_char(mu)
+                assert Z.rows == dict(Counter(j for _, j in Z.terms))
+                assert Z.cols == dict(Counter(i for i, _ in Z.terms))
