@@ -90,9 +90,13 @@ CATALOGUE = [
      "if (r := tuple(map(sub, rest, local))) in before or True",
      "_witness accepts a local term whose remainder no earlier chart product holds"),
     ("src/nesthilb/integrate.py",
-     "        if virtual:",
-     "        if False:",
+     "if any(m < 0 for m in chars[j].terms.values()):",
+     "if False:",
      "integrate refuses a virtual top factor only at the first draw, without naming it"),
+    ("src/nesthilb/integrate.py",
+     "if tangent.zero_multiplicity():",
+     "if False:",
+     "integrate leaves a zero tangent weight to the evaluation, after a point is drawn"),
     ("src/nesthilb/toric.py",
      "_PAIRING_NPOINTS = 2",
      "_PAIRING_NPOINTS = 1",

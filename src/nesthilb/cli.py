@@ -69,17 +69,17 @@ def parse_surface(selector: str) -> ToricSurfaceDescriptor:
 
 
 def parse_bundle(S: ToricSurfaceDescriptor, selector: str) -> tuple[EquivariantLineBundle, list[int]]:
-    """Divisor coefficient list (fan surfaces) or a bundle label."""
-    if _COEFFS.fullmatch(selector):
-        coeffs = [int(c) for c in selector.split(",")]
-        try:
-            return line_bundle(S, coeffs), coeffs
-        except WrongCoefficientCount as exc:
-            raise UsageError(str(exc)) from exc
+    """A bundle label of the surface, else a divisor coefficient list (fan surfaces)."""
     try:
         return S.bundle(selector), []
     except KeyError as exc:  # str() of a KeyError is the repr of its message
-        raise UsageError(exc.args[0]) from exc
+        if not _COEFFS.fullmatch(selector):
+            raise UsageError(exc.args[0]) from exc
+    coeffs = [int(c) for c in selector.split(",")]
+    try:
+        return line_bundle(S, coeffs), coeffs
+    except WrongCoefficientCount as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def run_checks(
@@ -103,11 +103,9 @@ def run_checks(
                 for n1 in range(nmax + 1)
                 for n2 in range(n1 + 1)
             ]
-            report = CheckReport(
-                name="theorem5",
+            report = subs[0]._replace(
                 entries=tuple(e for r in subs for e in r.entries),
                 configs_evaluated=sum(r.configs_evaluated for r in subs),
-                informational=any(r.informational for r in subs),
             )
         elif name == "case2":
             report = case2_check(S, M, nmax, seed=seed)

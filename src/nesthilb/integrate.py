@@ -16,12 +16,12 @@ of u-series keyed by the sizes (a, b), and products cut it at the sizes and
 in u.  "Total" factors are graded by u.  An effective Chern series stops at
 its rank, so a "top" factor (theorem5's product side, case2's Hilbert side)
 is one value per local term, its top Chern value, and each entry reads u at
-vdim less its top factors' ranks: every rank is linear in the sizes.  A
-virtual top factor has no such value and is refused before any draw.  If
+vdim less its top factors' ranks: every rank is linear in the sizes.  If
 all factors are total and effective and their ranks add up to vdim
 (theorem7, zprod, the nested sides), each local term is read at its top
 degree: flattened once per call (``_top_terms``), it is one integer
-fraction of products of weight values.
+fraction of products of weight values.  Before any draw, on either read,
+``integrate`` refuses a tangent holding (0, 0) and a virtual top factor.
 A factor read at its top degree with no bundle is 0 at every chart and
 point on a local term whose character holds the weight (0, 0), so such
 terms are dropped before evaluation (``_nonzero_terms``).  The untwisted
@@ -263,8 +263,6 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
 def _top_terms(local: _Terms) -> dict:
     """``local`` flattened once per call for a top-degree read: per term, tangent
     weights (a, b, m) and factor weights (a, b, m, j), j the factor (its twist)."""
-    if any(tangent.zero_multiplicity() for ts in local.values() for tangent, _ in ts):
-        raise ZeroWeightInTangent("zero weight with nonzero multiplicity")
     return {key: [(tuple((a, b, m) for (a, b), m in t.terms.items()),
                    tuple((a, b, m, j) for j, c in enumerate(cs) for (a, b), m in c.terms.items()))
                   for t, cs in ts] for key, ts in local.items()}
@@ -352,12 +350,6 @@ def _vertex_product(terms: _Terms | dict, S: ToricSurfaceDescriptor, x: int, y: 
     return {key: Fraction(_read(product, key, grading), prod(dens)) for key in grading.reads}
 
 
-def _evaluate(local: _Terms, S: ToricSurfaceDescriptor, x: int, y: int, spec: IntegrandSpec,
-              grading: _Grading) -> dict[tuple[int, int], Fraction]:
-    """``_vertex_product`` from ``local`` at one point (``integrate`` flattens once for all)."""
-    return _vertex_product(_top_terms(local) if grading.top else local, S, x, y, spec, grading)
-
-
 def _read(grid: _Grid, key: tuple[int, int], grading: _Grading) -> int:
     """The coefficient that entry ``key`` reads from ``grid``."""
     k = grading.reads[key]
@@ -426,12 +418,15 @@ def integrate(
     S.check_bundles(*(f.bundle for f in spec.factors))
     local = _local_terms(spec, n1, n2)
     where = f"{S.name} ({n1}, {n2}, {spec.mode})"
-    for j, f in enumerate(spec.factors):  # before any draw: a virtual top factor has no value
-        virtual = f.kind == "top" and next((key for key, ts in local.items() for _, cs in ts
-                                            if any(m < 0 for m in cs[j].terms.values())), None)
-        if virtual:
-            raise VirtualCharacter(f"top Chern value of a virtual character on {where}: "
-                                   f"factor {j} ({f.klass}) at local sizes {virtual}")
+    tops = [(j, f.klass) for j, f in enumerate(spec.factors) if f.kind == "top"]
+    for key, ts in local.items():  # before any draw, for both evaluation paths
+        for tangent, chars in ts:
+            if tangent.zero_multiplicity():
+                raise ZeroWeightInTangent(f"zero tangent weight on {where} at local sizes {key}")
+            for j, klass in tops:
+                if any(m < 0 for m in chars[j].terms.values()):
+                    raise VirtualCharacter(f"top Chern value of a virtual character on {where}: "
+                                           f"factor {j} ({klass}) at local sizes {key}")
     grading = _grading(spec, local)
     terms = _nonzero_terms(spec, local, grading)
     terms = _top_terms(terms) if grading.top else terms

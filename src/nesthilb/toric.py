@@ -216,7 +216,10 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
     """
     import json  # here, so that `import nesthilb` loads no json
 
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("surface descriptor nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("surface descriptor must be a JSON object")
     if "intersections" in data:

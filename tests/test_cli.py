@@ -72,6 +72,10 @@ class TestExitCodes:
     def test_bad_check_is_usage_error(self, capsys):
         assert run_cli(["--check", "theorem9"]) == 2
 
+    def test_negative_nmax_is_usage_error(self, capsys):
+        assert run_cli(["--nmax", "-1"]) == 2
+        assert capsys.readouterr().err == "error: nmax must be nonnegative\n"
+
     def test_bad_workers(self, capsys):
         assert run_cli(["--workers", "0"]) == 2
 
@@ -211,6 +215,26 @@ PLANE_POINTS = [
 
 
 class TestCustomSurfaceRun:
+    def test_coefficients_on_a_surface_without_fan_data(self, tmp_path, capsys):
+        # a coefficient list that is no label of the surface needs fan data
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"name": "custom-plane", "fixed_points": PLANE_POINTS}))
+        assert run_cli(["--surface", f"file:{path}", "--bundle", "0,0,0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: surface 'custom-plane' has no fan data; use a named bundle\n")
+
+    def test_a_label_that_reads_as_coefficients_is_selected(self, tmp_path, capsys):
+        # the surface's own label wins over the coefficient reading
+        weights = ([0, 0], [-1, 0], [0, -1])  # O(1) on the plane
+        points = [dict(pt, bundles={"1": w}) for pt, w in zip(PLANE_POINTS, weights)]
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"name": "custom-plane", "fixed_points": points}))
+        M, coeffs = parse_bundle(parse_surface(f"file:{path}"), "1")
+        assert (M.label, coeffs) == ("1", [])
+        base = ["--surface", f"file:{path}", "--check", "all", "--nmax", "1"]
+        assert run_cli([*base, "--bundle", "1"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_file_surface(self, tmp_path, capsys):
         descriptor = {"name": "custom-plane", "fixed_points": PLANE_POINTS}
         path = tmp_path / "surface.json"

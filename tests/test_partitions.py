@@ -76,6 +76,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            partitions_of(-1)
+
     @pytest.mark.parametrize("parts", [(2.0, 1), (True,), (2, False), ("2",), (None,)],
                              ids=["float", "true", "false", "str", "none"])
     def test_non_integer_parts_rejected(self, parts):

@@ -61,7 +61,6 @@ from nesthilb.integrate import (
     _at_chart,
     _chart_grid,
     _config_counts,
-    _evaluate,
     _factor_character,
     _grading,
     _local_terms,
@@ -71,6 +70,7 @@ from nesthilb.integrate import (
     _times,
     _top_terms,
     _twist,
+    _vertex_product,
     integrate,
     tangent_classes,
     top_chern_em,
@@ -431,6 +431,12 @@ def is_top(spec, n1, n2):
     return _grading(spec, _local_terms(spec, n1, n2)).top
 
 
+def evaluate(local, S, x, y, spec, grading):
+    """Every entry of ``local``'s table at (x, y), through ``_vertex_product``
+    on ``local`` flattened for a top-degree read as ``integrate`` does."""
+    return _vertex_product(_top_terms(local) if grading.top else local, S, x, y, spec, grading)
+
+
 class TestTopDegreeRead:
     @pytest.mark.parametrize("label", TOP_DEGREE_SPECS)
     @pytest.mark.parametrize(
@@ -443,7 +449,7 @@ class TestTopDegreeRead:
         assert grading.top
         fast = integrate(S, n1, n2, spec)
         for x, y in fast.specializations:
-            assert _evaluate(local, S, x, y, spec, on_the_series(grading, local)) == fast.values
+            assert evaluate(local, S, x, y, spec, on_the_series(grading, local)) == fast.values
 
     def test_vanishing_factor_weight_is_a_zero_not_a_pole(self):
         # at (1, 4) chart 1 of p2 projects to (X, Y) = (3, -1) and M's
@@ -463,8 +469,8 @@ class TestTopDegreeRead:
         }
         assert 0 in weights
         grading = _grading(spec, local)
-        fast = _evaluate(local, S, x, y, spec, grading)
-        slow = _evaluate(local, S, x, y, spec, on_the_series(grading, local))
+        fast = evaluate(local, S, x, y, spec, grading)
+        slow = evaluate(local, S, x, y, spec, on_the_series(grading, local))
         assert fast == slow == integrate(S, 2, 2, spec).values
 
     @pytest.mark.parametrize(
@@ -592,7 +598,7 @@ class TestTopFactorAtRank:
         assert not grading.top
         res = integrate(S, n1, n2, spec)
         for x, y in res.specializations:
-            fast = _evaluate(local, S, x, y, spec, grading)
+            fast = evaluate(local, S, x, y, spec, grading)
             assert fast == v_series(local, S, x, y, spec, grading)[0]
             assert fast == v_series(local, S, x, y, spec, grading, at_rank=True)[0]
             assert fast == res.values
@@ -645,7 +651,7 @@ class TestTopFactorAtRank:
         assert not grading.top
         _, grid = _chart_grid({key: [term]}, S, i, x, y, spec, grading)
         assert _read(grid, key, grading) == 0
-        assert _evaluate(local, S, x, y, spec, grading) == integrate(S, n1, n2, spec).values
+        assert evaluate(local, S, x, y, spec, grading) == integrate(S, n1, n2, spec).values
 
     @pytest.mark.parametrize(
         "spec,top",
@@ -729,7 +735,7 @@ class TestNonzeroTerms:
         grading = _grading(spec, local)
         res = integrate(S, 3, 3, spec)
         for x, y in res.specializations:
-            assert _evaluate(local, S, x, y, spec, grading) == res.values
+            assert evaluate(local, S, x, y, spec, grading) == res.values
         for (a, b), value in res.values.items():
             if a + b <= 3:  # the slow path's cost grows fast with the sizes
                 assert value == reference_integrate(S, a, b, spec, *RATIONAL_POINT)
@@ -807,6 +813,15 @@ FUSED_SPECS = {
 }
 
 
+def add_a_zero_weight_to_every_tangent(monkeypatch):
+    """(0, 0) in, (5, 5) out: the rank, and so the read, stay."""
+    real = integrate_module._local_tangent
+    monkeypatch.setattr(
+        integrate_module, "_local_tangent",
+        lambda Z1, Z2, mode: real(Z1, Z2, mode) + Character({(0, 0): 1, (5, 5): -1}),
+    )
+
+
 def fused_value(key, term, S, i, x, y, spec, grading):
     """One local term at chart i and (x, y), through the fused top-degree read."""
     den, grid = _chart_grid(_top_terms({key: [term]}), S, i, x, y, spec, grading)
@@ -870,19 +885,33 @@ class TestFusedTopValue:
         assert seen[True, True] and seen[True, False] and seen[False, True]
 
     def test_a_zero_tangent_weight_is_refused_before_any_draw(self, monkeypatch):
-        # (0, 0) in, (5, 5) out: the rank, and so the top-degree read, stay
-        real, draws = integrate_module._local_tangent, []
-        monkeypatch.setattr(
-            integrate_module, "_local_tangent",
-            lambda Z1, Z2, mode: real(Z1, Z2, mode) + Character({(0, 0): 1, (5, 5): -1}),
-        )
+        draws = []
+        add_a_zero_weight_to_every_tangent(monkeypatch)
         monkeypatch.setattr(integrate_module, "random_point", lambda rng: draws.append(1))
         S, M = FUSED_SURFACES[0]
         spec = FUSED_SPECS["nested"](M)
         assert is_top(spec, 2, 2)
-        with pytest.raises(ZeroWeightInTangent, match="^zero weight with nonzero multiplicity$"):
+        message = r"^zero tangent weight on p2 \(2, 2, nested\) at local sizes \(0, 0\)$"
+        with pytest.raises(ZeroWeightInTangent, match=message):
             integrate(S, 2, 2, spec)
         assert draws == []
+
+    def test_a_zero_tangent_weight_on_the_series_path_is_refused_before_any_draw(
+        self, monkeypatch
+    ):
+        # theorem5's product side is read on the u-series path, where the
+        # Euler value would refuse the weight only at a drawn point
+        add_a_zero_weight_to_every_tangent(monkeypatch)
+
+        def no_draw(rng):
+            raise AssertionError("a point was drawn for a zero tangent weight")
+
+        monkeypatch.setattr(integrate_module, "random_point", no_draw)
+        spec = IntegrandSpec("product", (total_chern_em(), top_chern_em()))
+        assert not is_top(spec, 2, 2)
+        message = r"^zero tangent weight on p2 \(2, 2, product\) at local sizes \(0, 0\)$"
+        with pytest.raises(ZeroWeightInTangent, match=message):
+            integrate(surface_p2(), 2, 2, spec)
 
     def test_a_pole_in_any_term_is_a_pole_of_the_table(self):
         # at (1, 1) chart 0 of p2 projects to (1, 1), where a local tangent
@@ -891,7 +920,7 @@ class TestFusedTopValue:
         spec = FUSED_SPECS["nested"](M)
         local = _local_terms(spec, 2, 2)
         with pytest.raises(SpecializationPole, match=r"vanishes at \(1, 1\)"):
-            _evaluate(local, S, 1, 1, spec, _grading(spec, local))
+            evaluate(local, S, 1, 1, spec, _grading(spec, local))
 
 
 def oracle_classes(S, n):

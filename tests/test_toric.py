@@ -37,6 +37,10 @@ class TestBuiltinSurfaces:
         q = surface_p1xp1()
         assert f0.charts == q.charts
 
+    def test_negative_hirzebruch_parameter_rejected(self):
+        with pytest.raises(ValueError, match="^Hirzebruch parameter must be nonnegative$"):
+            surface_hirzebruch(-1)
+
     def test_plane_charts_cover_the_fan(self):
         # dual bases of adjacent cones; the chart weights pairwise
         # generate the character lattice
@@ -77,6 +81,12 @@ class TestLineBundles:
     def test_canonical_agrees_with_divisor_recipe(self):
         S = surface_p2()
         assert canonical_bundle(S).weights == line_bundle(S, [-1, -1, -1]).weights
+
+    def test_wrong_weight_count_rejected(self):
+        S = surface_p2()
+        message = "^bundle 'L' has 2 weights, but surface 'p2' has 3 fixed points$"
+        with pytest.raises(ValueError, match=message):
+            EquivariantLineBundle("L", (Weight(0, 0), Weight(0, 0)), S)
 
     def test_wrong_coefficient_count(self):
         with pytest.raises(WrongCoefficientCount):
@@ -186,7 +196,47 @@ DESCRIPTOR = {
 }
 
 
+
+def _edited(edit) -> str:
+    """The JSON text of a copy of DESCRIPTOR with ``edit`` applied."""
+    doc = json.loads(json.dumps(DESCRIPTOR))
+    edit(doc)
+    return json.dumps(doc)
+
+
+# descriptor texts and their whole refusal message
+MALFORMED = {
+    "nested-too-deeply": ("[" * 5000, "surface descriptor nests too deeply"),
+    "not-an-object": ("[1, 2, 3]", "surface descriptor must be a JSON object"),
+    "name-not-a-string": (
+        _edited(lambda d: d.update(name=7)), "surface descriptor needs a string 'name'"
+    ),
+    "bundles-not-an-object": (
+        _edited(lambda d: d["fixed_points"][1].update(bundles=[[-1, 0]])),
+        "fixed_points[1].bundles must be an object",
+    ),
+    "bundle-labels-differ": (
+        _edited(lambda d: d["fixed_points"][2]["bundles"].update(M=[0, -1])),
+        "fixed_points[2]: bundle labels differ between fixed points",
+    ),
+    "weight-not-a-pair": (
+        _edited(lambda d: d["fixed_points"][0].update(w2=[0, 1, 0])),
+        "fixed_points[0].w2: expected a pair [a, b], got [0, 1, 0]",
+    ),
+}
+
+
 class TestJsonDescriptor:
+    @pytest.mark.parametrize("text,message", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_descriptor_rejected(self, text, message, tmp_path, capsys):
+        # through the API a ValueError; through the CLI a usage error (exit 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            surface_from_json(text)
+        path = tmp_path / "surface.json"
+        path.write_text(text)
+        assert main(["--surface", f"file:{path}", "--check", "theorem7", "--nmax", "0"]) == 2
+        assert capsys.readouterr().err == f"error: cannot load surface file: {message}\n"
+
     def test_roundtrip(self):
         S = surface_from_json(json.dumps(DESCRIPTOR))
         assert S.name == "custom-plane"
