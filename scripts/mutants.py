@@ -86,10 +86,6 @@ CATALOGUE = [
      "else Z1 + Z2  # taut",
      "_local_factor reads taut of Z1 as Z1 + Z2, the tautological class of both factors"),
     ("src/nesthilb/integrate.py",
-     "if (r := tuple(map(sub, rest, local))) in before",
-     "if (r := tuple(map(sub, rest, local))) in before or True",
-     "_witness accepts a local term whose remainder no earlier chart product holds"),
-    ("src/nesthilb/integrate.py",
      "if any(m < 0 for m in chars[j].terms.values()):",
      "if False:",
      "integrate refuses a virtual top factor only at the first draw, without naming it"),
@@ -117,6 +113,14 @@ CATALOGUE = [
      "(n, 0, lhs.values[(n, 0)], (-1) ** n * rhs.values[(n, 0)])",
      "(n, 0, lhs.values[(n, 0)], lhs.values[(n, 0)])",
      "case2 reports the nested value as the rhs"),
+    ("src/nesthilb/verify.py",
+     "t.signed_rank() == sum(key) and not t.zero_multiplicity()",
+     "t.signed_rank() == sum(key)",
+     "case3's local check ignores the zero-weight multiplicity"),
+    ("src/nesthilb/verify.py",
+     "for x, fine in zip(local[p], fs) if fine]",
+     "for x, fine in zip(local[p], fs)]",
+     "case3 counts failing configurations against all pairs, so its message reads 0 of N"),
     ("src/nesthilb/verify.py",
      "return all(lhs == rhs for _, _, lhs, rhs in self.entries)",
      "return True",

@@ -5,8 +5,8 @@ verifications and emits a text or JSON report.  Exit codes: 0 all
 asserted identities hold, 1 on any mismatch, 2 on usage or configuration
 errors (a descriptor that does not load included), 3 on structural
 errors (non-constant localization sums, zero tangent weights, exhausted
-specializations, non-integral values, case3 configurations whose
-tangent has the wrong rank or a zero weight).
+specializations, non-integral values, a case3 local pair whose tangent
+has the wrong rank or a zero weight, named in the message).
 
 Each check makes one table call per side (theorem5 still one per entry)
 and is timed here, in its report's ``millis``; the library leaves that 0.

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import lcm, prod
-from operator import add, sub
-from typing import Callable, NamedTuple
+from operator import add
+from typing import NamedTuple
 
 from .charalg import Character, Slotted, USeries, Weight, chern_useries, euler_value
 from .charalg import top_chern_value
@@ -268,9 +268,8 @@ def _top_terms(local: _Terms) -> dict:
                   for t, cs in ts] for key, ts in local.items()}
 
 
-# a grid maps local or global sizes (a, b) to the coefficients
-# [u^0 .. u^ucut] of their u-series (tangent_classes adds the class to the key)
-_Grid = dict[tuple[int, ...], list[int]]
+# a grid maps local or global sizes (a, b) to their u-series coefficients [u^0 .. u^ucut]
+_Grid = dict[tuple[int, int], list[int]]
 
 
 def _chart_grid(
@@ -362,49 +361,6 @@ def _config_counts(local: _Terms, nfixed: int, grading: _Grading) -> dict[tuple[
     units = repeat({key: [len(ts)] for key, ts in local.items()}, nfixed)
     product = reduce(partial(_times, n1=grading.n1, n2=grading.n2, ucut=0), units)
     return {key: product[key][0] for key in grading.reads}
-
-
-def _witness(products: list[_Grid], witnesses: dict, key: tuple[int, int], cls: tuple) -> list:
-    """A configuration of sizes ``key`` and tangent class ``cls``, one pair
-    per chart, rebuilt by backtracking through the chart products."""
-    rest, pairs = key + cls, []
-    for before in reversed(products[:-1]):
-        rest, pair = next(
-            (r, pair) for local, pair in witnesses.items()
-            if (r := tuple(map(sub, rest, local))) in before
-        )
-        pairs.append(pair)
-    return [witnesses[rest], *reversed(pairs)]
-
-
-def tangent_classes(S: ToricSurfaceDescriptor, n1: int, n2: int) -> tuple[dict, Callable]:
-    """Nested configurations of sizes (a, b) <= (n1, n2) counted by the
-    class (signed rank, zero-weight multiplicity) of their tangent, with
-    no enumeration: ``{(a, b): {class: count}}``, and ``witness(key,
-    cls)``, which names one configuration of a class as its partition
-    pairs per chart.
-
-    A configuration's tangent is the sum of its local tangents, so its
-    class is the sum of their classes.  Chart weights are linearly
-    independent (``FixedPointChart`` checks it at load), so only the
-    local exponent (0, 0) substitutes to the zero weight.
-    """
-    if n2 < 0 or n1 < n2:
-        raise InvalidNesting(f"invalid sizes ({n1}, {n2}) for mode 'nested'")
-    local: _Grid = {}  # by (a, b, signed rank, zero multiplicity)
-    witnesses: dict = {}
-    for key in ((a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1)):
-        for pair, Z1, Z2 in local_pair_chars(*key, "nested"):
-            t = _local_tangent(Z1, Z2, "nested")
-            flat = (*key, t.signed_rank(), t.zero_multiplicity())
-            local.setdefault(flat, [0])[0] += 1
-            witnesses.setdefault(flat, pair)
-    times = partial(_times, n1=n1, n2=n2, ucut=0)
-    products = list(accumulate(repeat(local, len(S.charts)), times))  # over charts 0..k
-    counts: dict = {}
-    for (a, b, *cls), (c,) in products[-1].items():
-        counts.setdefault((a, b), {})[tuple(cls)] = c
-    return counts, partial(_witness, products, witnesses)
 
 
 def integrate(

@@ -209,10 +209,10 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
     Schema: { "name": str,
               "fixed_points": [ { "w1": [a,b], "w2": [a,b],
                                   "bundles": { "<label>": [a,b] } } ] }
-    Integers only; floats are rejected.  Pairings are always computed by
-    localization, so an "intersections" table is rejected.  Chart and
-    bundle weights must satisfy the GKM conditions (``_check_edges``); K's
-    then do too.
+    Integers only; floats are rejected.  Any other key is rejected, an
+    "intersections" table too: pairings are always computed by
+    localization.  Chart and bundle weights must satisfy the GKM
+    conditions (``_check_edges``); K's then do too.
     """
     import json  # here, so that `import nesthilb` loads no json
 
@@ -227,6 +227,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
             "surface descriptor key 'intersections' is not supported: "
             "pairings are computed by localization"
         )
+    if extra := sorted(data.keys() - {"name", "fixed_points"}):
+        raise ValueError(f"surface descriptor key {extra[0]!r} is not supported")
     name = data.get("name")
     if not isinstance(name, str):
         raise ValueError("surface descriptor needs a string 'name'")
@@ -240,6 +242,8 @@ def surface_from_json(text: str) -> ToricSurfaceDescriptor:
         where = f"fixed_points[{k}]"
         if not isinstance(pt, dict):
             raise ValueError(f"{where}: expected an object, got {pt!r}")
+        if extra := sorted(pt.keys() - {"w1", "w2", "bundles"}):
+            raise ValueError(f"{where}: key {extra[0]!r} is not supported")
         w1 = _parse_weight(pt.get("w1"), where + ".w1")
         w2 = _parse_weight(pt.get("w2"), where + ".w2")
         try:

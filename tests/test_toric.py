@@ -223,6 +223,18 @@ MALFORMED = {
         _edited(lambda d: d["fixed_points"][0].update(w2=[0, 1, 0])),
         "fixed_points[0].w2: expected a pair [a, b], got [0, 1, 0]",
     ),
+    "unknown-key": (
+        _edited(lambda d: d.update(fan=[[1, 0], [0, 1], [-1, -1]])),
+        "surface descriptor key 'fan' is not supported",
+    ),
+    "bundle-for-bundles": (
+        _edited(lambda d: [p.update(bundle=p.pop("bundles")) for p in d["fixed_points"]]),
+        "fixed_points[0]: key 'bundle' is not supported",
+    ),
+    "unknown-point-key": (
+        _edited(lambda d: d["fixed_points"][2].update(w3=[1, 1])),
+        "fixed_points[2]: key 'w3' is not supported",
+    ),
 }
 
 
@@ -236,6 +248,16 @@ class TestJsonDescriptor:
         path.write_text(text)
         assert main(["--surface", f"file:{path}", "--check", "theorem7", "--nmax", "0"]) == 2
         assert capsys.readouterr().err == f"error: cannot load surface file: {message}\n"
+
+    def test_misspelt_bundles_key_refused_before_any_bundle_lookup(self, tmp_path, capsys):
+        # "bundle" for "bundles" once loaded a surface with no labels, and
+        # --bundle L then said only that no bundle is named 'L'
+        path = tmp_path / "surface.json"
+        path.write_text(MALFORMED["bundle-for-bundles"][0])
+        assert main(["--surface", f"file:{path}", "--bundle", "L", "--check", "theorem7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot load surface file: fixed_points[0]: key 'bundle' is not supported\n"
+        )
 
     def test_roundtrip(self):
         S = surface_from_json(json.dumps(DESCRIPTOR))

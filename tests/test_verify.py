@@ -14,7 +14,6 @@ import nesthilb.verify
 from nesthilb.charalg import Character
 from nesthilb.cli import main, run_checks
 from nesthilb.errors import InconsistentTangent, InvalidNesting, NestHilbError
-from nesthilb.integrate import tangent_classes
 from nesthilb.toric import (
     EquivariantLineBundle,
     canonical_bundle,
@@ -307,11 +306,30 @@ class TestDimensionConsistency:
             case3_check(surface_p2(), 1)
         message = str(err.value)
         assert "case3 on p2 at (2, 1): 6 of 12 configurations fail" in message
-        assert "[[2]/[1], []/[], []/[]]" in message
+        assert "local pair [2]/[1] of sizes (2, 1)" in message
         assert "signed rank 4 (expected 3)" in message
         assert "zero-weight multiplicity 1" in message
         assert main(["--surface", "p2", "--check", "case3", "--nmax", "1"]) == 3
         assert message in capsys.readouterr().err
+
+    def test_a_pair_no_configuration_holds_is_not_checked(self, monkeypatch):
+        # every (n+1, n) configuration is pairs of sizes (b+1, b) and (c, c),
+        # so a zero weight on the local pairs of sizes (2, 0) fails no entry
+        real = integrate_module._local_tangent
+        hit = []
+
+        def zero_weight_at_2_0(Z1, Z2, mode):
+            tangent = real(Z1, Z2, mode)
+            if (Z1.signed_rank(), Z2.signed_rank()) == (2, 0):
+                hit.append(Z1)
+                tangent = tangent + Character.monomial(0, 0)
+            return tangent
+
+        monkeypatch.setattr(integrate_module, "_local_tangent", zero_weight_at_2_0)
+        report = case3_check(surface_p2(), 3)
+        assert len(hit) == 2  # [2]/[] and [1, 1]/[]
+        assert report.passed
+        assert report.configs_evaluated == 3 + 12 + 39 + 105
 
 
 # engine-computed goldens: integral, specialization-constant values
@@ -372,19 +390,15 @@ class TestProductSeriesGoldens:
 
 
 class TestInvalidSizes:
-    # the checks, theorem7's closed form and case3's class counts refuse a
-    # negative or non-nested size with the one typed error
+    # the checks and theorem7's closed form refuse a negative size with
+    # the one typed error
     @pytest.mark.parametrize("call", [
         lambda S, M: theorem7_check(S, M, -1),
         lambda S, M: theorem7_rhs(S, M, -1),
         lambda S, M: case2_check(S, M, -1),
         lambda S, M: case3_check(S, -1),
         lambda S, M: zprod_table(S, M, -1),
-        lambda S, M: tangent_classes(S, 0, -1),
-        lambda S, M: tangent_classes(S, 2, 3),
-        lambda S, M: tangent_classes(S, -1, 0),
-    ], ids=["theorem7", "theorem7_rhs", "case2", "case3", "zprod", "tangent_classes-n2",
-            "tangent_classes-n1<n2", "tangent_classes-n1"])
+    ], ids=["theorem7", "theorem7_rhs", "case2", "case3", "zprod"])
     def test_refused(self, call):
         S = surface_p2()
         with pytest.raises(InvalidNesting):
