@@ -122,6 +122,10 @@ CATALOGUE = [
      "for x, fine in zip(local[p], fs)]",
      "case3 counts failing configurations against all pairs, so its message reads 0 of N"),
     ("src/nesthilb/verify.py",
+     "for k in ((n, n), key)",
+     "for k in (key,)",
+     "case3 skips the (n, n) local pairs"),
+    ("src/nesthilb/verify.py",
      "return all(lhs == rhs for _, _, lhs, rhs in self.entries)",
      "return True",
      "CheckReport.passed holds whatever its entries say"),

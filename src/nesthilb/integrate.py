@@ -152,22 +152,25 @@ def _local_factor(Z1: Character, Z2: Character, f: Factor) -> Character:
     return hilb_tangent_char(Z1) if f.klass == "tangent" else Z1  # taut
 
 
-# by local sizes (a, b): per local pair, the local tangent and factor characters
-_Terms = dict[tuple[int, int], list[tuple[Character, tuple[Character, ...]]]]
+# per local pair: its local tangent and factor characters
+_Term = tuple[Character, tuple[Character, ...]]
+_Terms = dict[tuple[int, int], list[_Term]]  # by local sizes (a, b)
+
+
+def _terms_of_size(spec: IntegrandSpec, a: int, b: int) -> list[_Term]:
+    """The local term of every local pair of sizes (a, b), in ``local_pairs`` order."""
+    return [
+        (_local_tangent(Z1, Z2, spec.mode), tuple(_local_factor(Z1, Z2, f) for f in spec.factors))
+        for _, Z1, Z2 in local_pair_chars(a, b, spec.mode)
+    ]
 
 
 def _local_terms(spec: IntegrandSpec, n1: int, n2: int) -> _Terms:
     """The local terms of every local pair of sizes (a, b) <= (n1, n2),
     b <= a in nested mode, built once per pair."""
-    keys = (
-        (a, b) for a in range(n1 + 1) for b in range(n2 + 1) if spec.mode == "product" or b <= a
-    )
     return {
-        key: [
-            (_local_tangent(Z1, Z2, spec.mode), tuple(_local_factor(Z1, Z2, f) for f in spec.factors))
-            for _, Z1, Z2 in local_pair_chars(*key, spec.mode)
-        ]
-        for key in keys
+        (a, b): _terms_of_size(spec, a, b)
+        for a in range(n1 + 1) for b in range(n2 + 1) if spec.mode == "product" or b <= a
     }
 
 

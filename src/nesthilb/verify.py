@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentTangent, InvalidNesting, NestHilbError
 from .fixedchar import local_pairs
-from .integrate import _config_counts, _Grading, _local_terms
+from .integrate import _config_counts, _Grading, _terms_of_size
 from .integrate import (
     IntegrandSpec,
     InvariantResult,
@@ -185,19 +185,22 @@ def case3_check(S: ToricSurfaceDescriptor, nmax: int) -> CheckReport:
     and pairs of sizes (c, c), and tangent classes add, so entry n holds
     exactly when every local pair of sizes (n, n) and (n+1, n) has signed
     rank a + b and no zero weight; its lhs is one (n+1, n) pair's rank.
-    Configurations are counted, never enumerated (``_config_counts``).
+    Only the local pairs of those sizes are built.  Configurations are
+    counted, never enumerated (``_config_counts``), over them alone: the
+    count stays exact, since every (n+1, n) configuration is made of them.
     InconsistentTangent names a failing pair and how many configurations
     fail.  The projectivized comparison itself is not computed.
     """
     if nmax < 0:
         raise InvalidNesting(f"invalid nmax {nmax}")
-    local = _local_terms(IntegrandSpec("nested"), nmax + 1, nmax)
+    spec = IntegrandSpec("nested")
+    local = {k: _terms_of_size(spec, *k) for n in range(nmax + 1) for k in ((n, n), (n + 1, n))}
     keys = [(n + 1, n) for n in range(nmax + 1)]
     grading = _Grading(dict.fromkeys(keys, 0), n1=nmax + 1, n2=nmax, ucut=0, top=False)
     counts = _config_counts(local, len(S.charts), grading)
-    # per local pair of sizes (a, b), a - b <= 1: signed rank a + b and no zero weight
+    # per local pair of sizes (a, b): signed rank a + b and no zero weight
     ok = {key: [t.signed_rank() == sum(key) and not t.zero_multiplicity() for t, _ in ts]
-          for key, ts in local.items() if key[0] - key[1] <= 1}
+          for key, ts in local.items()}
     entries = []
     for n, key in enumerate(keys):
         bad = [(k, i) for k in ((n, n), key) for i, fine in enumerate(ok[k]) if not fine]

@@ -110,7 +110,7 @@ class TestEmChar:
 
 class TestBuiltOncePerPartition:
     def test_case3_builds_each_box_character_and_tangent_at_most_once(self, monkeypatch):
-        # case3 at nmax 7 takes 840 local pairs from the 67 partitions of 0..8
+        # case3 at nmax 7 takes 165 local pairs from the 67 partitions of 0..8
         built = Counter()
 
         class Counted(partitions.BoxCharacter):

@@ -42,6 +42,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nesthilb.integrate as integrate_module
+import nesthilb.verify as verify_module
 from nesthilb.charalg import Character, Weight, chern_useries, euler_value, top_chern_value
 from nesthilb.errors import (
     InconsistentTangent,
@@ -282,7 +283,8 @@ class TestArmLegAgainstKoszul:
         assert nested_tangent_char(Z1, Z2) == koszul_nested_tangent(Z1, Z2)
 
     def test_nested_tangent_char_on_every_case3_nmax_7_pair(self):
-        # case3 --nmax 7 builds the local tangent of (a, b) <= (8, 7), b <= a
+        # every nested pair up to (8, 7), b <= a: case3 --nmax 7 builds only the
+        # 165 of sizes (n, n) and (n+1, n), but the formula holds for all 840
         pairs = [pr for a in range(9) for b in range(min(a, 7) + 1) for pr in nested_pairs(a, b)]
         assert len(pairs) == 840
         for pr in pairs:
@@ -1010,3 +1012,44 @@ def test_case3_nmax_8_golden(S, total, per_entry):
         local = _local_terms(spec, 9, 8)
         counts = _config_counts(local, len(S.charts), _grading(spec, local))
         assert [counts[(n + 1, n)] for n in range(9)] == per_entry
+
+
+@pytest.mark.parametrize(
+    "S",
+    [surface_p2(), surface_p1xp1(), surface_hirzebruch(2), surface_from_json(README_DESCRIPTOR)],
+    ids=lambda S: S.name,
+)
+def test_case3_band_counts_match_the_full_grid(S, monkeypatch):
+    # case3 counts over the local sizes (n, n) and (n+1, n) alone; every
+    # (n+1, n) entry must count what the full grid up to (nmax+1, nmax) does
+    seen = []
+
+    def spy(local, nfixed, grading):
+        counts = _config_counts(local, nfixed, grading)
+        seen.append((set(local), counts))
+        return counts
+
+    monkeypatch.setattr(verify_module, "_config_counts", spy)
+    spec = IntegrandSpec("nested")
+    for nmax in range(9):
+        seen.clear()
+        assert case3_check(S, nmax).passed
+        [(sizes, band)] = seen
+        assert sizes == {k for n in range(nmax + 1) for k in ((n, n), (n + 1, n))}
+        full = _local_terms(spec, nmax + 1, nmax)
+        grid = _config_counts(full, len(S.charts), _grading(spec, full))
+        assert band == {(n + 1, n): grid[(n + 1, n)] for n in range(nmax + 1)}, nmax
+
+
+def test_case3_builds_only_the_band(monkeypatch):
+    # 165 local tangents at nmax 7 on p1xp1; the full grid up to (8, 7) has 840
+    real = integrate_module._local_tangent
+    calls = []
+
+    def counted(Z1, Z2, mode):
+        calls.append(mode)
+        return real(Z1, Z2, mode)
+
+    monkeypatch.setattr(integrate_module, "_local_tangent", counted)
+    assert case3_check(surface_p1xp1(), 7).passed
+    assert calls == ["nested"] * 165
