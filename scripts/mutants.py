@@ -70,13 +70,27 @@ CATALOGUE = [
      "pass",
      "the series path skips the top factors' top Chern values"),
     ("src/nesthilb/integrate.py",
-     "if v == 0:",
+     "if 0 in vals[:len(tangent)]:",
      "if False:",
      "the fused top-degree read skips the pole check on tangent weights"),
     ("src/nesthilb/integrate.py",
-     "prod((a * X + b * Y + twists[j]) ** m for a, b, m, j in factors)",
-     "prod((a * X + b * Y) ** m for a, b, m, j in factors)",
+     "if 0 in vals[:len(tangent)]:",
+     "if 0 in vals[len(tangent):]:",
+     "the fused top-degree read checks the factor weights for a pole, not the tangent weights"),
+    ("src/nesthilb/integrate.py",
+     "a * X + b * Y + twists[j] for a, b, j in factor]",
+     "a * X + b * Y for a, b, j in factor]",
      "the fused top-degree read drops the factor twist"),
+    ("src/nesthilb/integrate.py",
+     "(den if m > 0 else num).extend([tangent.setdefault(w, len(tangent))] * abs(m))\n"
+     "            for j, c in enumerate(cs):\n"
+     "                for (a, b), m in c.terms.items():\n"
+     "                    fnum.extend([factor.setdefault((a, b, j), len(factor))] * m)",
+     "(den if m > 0 else num).extend([tangent.setdefault(w, len(tangent))])\n"
+     "            for j, c in enumerate(cs):\n"
+     "                for (a, b), m in c.terms.items():\n"
+     "                    fnum.extend([factor.setdefault((a, b, j), len(factor))])",
+     "the weight table's index lists drop the multiplicity: each weight counts once per term"),
     ("src/nesthilb/integrate.py",
      'hilb_tangent_char(Z1) if f.klass == "tangent"',
      'em_char(Z1, Z2) if f.klass == "tangent"',

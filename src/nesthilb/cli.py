@@ -19,6 +19,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -166,7 +167,9 @@ def report_text(reports: list[CheckReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use (not at import)."""
     p = argparse.ArgumentParser(
         prog="nesthilb",
         description="Verify nested Hilbert scheme identities by exact equivariant localization.",

@@ -19,9 +19,10 @@ is one value per local term, its top Chern value, and each entry reads u at
 vdim less its top factors' ranks: every rank is linear in the sizes.  If
 all factors are total and effective and their ranks add up to vdim
 (theorem7, zprod, the nested sides), each local term is read at its top
-degree: flattened once per call (``_top_terms``), it is one integer
-fraction of products of weight values.  Before any draw, on either read,
-``integrate`` refuses a tangent holding (0, 0) and a virtual top factor.
+degree: each distinct weight is evaluated once per chart and point
+(``_top_terms``), and each term is one integer fraction of products of
+those values.  Before any draw, on either read, ``integrate`` refuses a
+tangent holding (0, 0) and a virtual top factor.
 A factor read at its top degree with no bundle is 0 at every chart and
 point on a local term whose character holds the weight (0, 0), so such
 terms are dropped before evaluation (``_nonzero_terms``).  The untwisted
@@ -263,12 +264,28 @@ def _factor_character(S: ToricSurfaceDescriptor, cfg: FixedConfig, f: Factor) ->
     )
 
 
-def _top_terms(local: _Terms) -> dict:
-    """``local`` flattened once per call for a top-degree read: per term, tangent
-    weights (a, b, m) and factor weights (a, b, m, j), j the factor (its twist)."""
-    return {key: [(tuple((a, b, m) for (a, b), m in t.terms.items()),
-                   tuple((a, b, m, j) for j, c in enumerate(cs) for (a, b), m in c.terms.items()))
-                  for t, cs in ts] for key, ts in local.items()}
+_Top = tuple[list[tuple[int, int]], list[tuple[int, int, int]], dict]  # see ``_top_terms``
+
+
+def _top_terms(local: _Terms) -> _Top:
+    """``local`` flattened once per call for a top-degree read: the distinct
+    tangent weights (a, b), the distinct factor weights (a, b, j), j the
+    factor (its twist), and per key each term's numerator and denominator
+    indices into both lists, tangent weights first, each index repeated by
+    its multiplicity (a negative tangent multiplicity counts in the numerator)."""
+    tangent, factor, flat = {}, {}, {key: [] for key in local}  # weight -> index, in order
+    for key, ts in local.items():
+        for t, cs in ts:
+            num, fnum, den = [], [], []
+            for w, m in t.terms.items():
+                (den if m > 0 else num).extend([tangent.setdefault(w, len(tangent))] * abs(m))
+            for j, c in enumerate(cs):
+                for (a, b), m in c.terms.items():
+                    fnum.extend([factor.setdefault((a, b, j), len(factor))] * m)
+            flat[key].append((num, fnum, den))
+    terms = {key: [(num + [len(tangent) + k for k in fnum], den) for num, fnum, den in ts]
+             for key, ts in flat.items()}
+    return list(tangent), list(factor), terms
 
 
 # a grid maps local or global sizes (a, b) to their u-series coefficients [u^0 .. u^ucut]
@@ -276,7 +293,7 @@ _Grid = dict[tuple[int, int], list[int]]
 
 
 def _chart_grid(
-    local: _Terms | dict,
+    local: _Terms | _Top,
     S: ToricSurfaceDescriptor,
     i: int,
     x: int,
@@ -286,28 +303,26 @@ def _chart_grid(
 ) -> tuple[int, _Grid]:
     """Chart i's factor Z_p at (x, y) as an integer grid and its denominator,
     from the terms that ``_nonzero_terms`` keeps at the projected point (X, Y).
-    At top degree (``_top_terms``) each is one integer fraction, its factors'
-    top Chern values over its tangent Euler value, summed over their lcm; any
-    vanishing tangent weight is a pole.  Otherwise each is its top factors'
-    top Chern values (the term skipped where 0) times its total factors'
-    Chern series, over its tangent Euler value, over one common denominator."""
+    At top degree (``_top_terms``) every weight is evaluated once, and each
+    term is one integer fraction, the product of its numerator values over
+    that of its denominator values, summed over their lcm; a vanishing
+    tangent weight is a pole, a vanishing factor weight a zero.  Otherwise
+    each is its top factors' top Chern values (the term skipped where 0)
+    times its total factors' Chern series, over its tangent Euler value,
+    over one common denominator."""
     ucut = grading.ucut
     X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
     twists = [_twist(f, i).value(x, y) for f in spec.factors]
     if grading.top:
-        fracs: dict = {key: [] for key in local}
-        for key, ts in local.items():
-            for tangent, factors in ts:
-                num, den = prod((a * X + b * Y + twists[j]) ** m for a, b, m, j in factors), 1
-                for a, b, m in tangent:
-                    v = a * X + b * Y
-                    if v == 0:
-                        raise SpecializationPole(f"weight ({a}, {b}) vanishes at ({X}, {Y})")
-                    if m > 0:
-                        den *= v**m
-                    else:
-                        num *= v**-m
-                fracs[key].append((num, den))
+        tangent, factor, terms = local
+        vals = [a * X + b * Y for a, b in tangent]
+        vals += [a * X + b * Y + twists[j] for a, b, j in factor]
+        if 0 in vals[:len(tangent)]:
+            a, b = tangent[vals.index(0)]
+            raise SpecializationPole(f"weight ({a}, {b}) vanishes at ({X}, {Y})")
+        at = vals.__getitem__
+        fracs = {key: [(prod(map(at, num)), prod(map(at, den))) for num, den in ts]
+                 for key, ts in terms.items()}
         den = lcm(*(d for fs in fracs.values() for _, d in fs))
         return den, {key: [sum(n * (den // d) for n, d in fs)] for key, fs in fracs.items()}
     eulers = {key: [euler_value(t, X, Y) for t, _ in ts] for key, ts in local.items()}
@@ -329,7 +344,18 @@ def _chart_grid(
 
 
 def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int) -> _Grid:
-    """Product of two grids, truncated at (n1, n2) and at ucut in u."""
+    """Product of two grids, truncated at (n1, n2) and at ucut in u.  At ucut 0
+    (top-degree chart products, configuration counts) it multiplies scalars.
+    Keys may carry components past (a, b), added alike."""
+    if not ucut:
+        acc: dict = {}
+        for k1, (p,) in g.items():
+            r1, r2 = n1 - k1[0], n2 - k1[1]
+            for k2, (q,) in h.items():
+                if k2[0] <= r1 and k2[1] <= r2:
+                    k = tuple(map(add, k1, k2))
+                    acc[k] = acc.get(k, 0) + p * q
+        return {k: [c] for k, c in acc.items()}
     out: _Grid = {}
     for k1, p in g.items():
         for k2, q in h.items():
@@ -343,7 +369,7 @@ def _times(g: _Grid, h: _Grid, n1: int, n2: int, ucut: int) -> _Grid:
     return out
 
 
-def _vertex_product(terms: _Terms | dict, S: ToricSurfaceDescriptor, x: int, y: int,
+def _vertex_product(terms: _Terms | _Top, S: ToricSurfaceDescriptor, x: int, y: int,
                     spec: IntegrandSpec, grading: _Grading) -> dict[tuple[int, int], Fraction]:
     """Every entry of Z = prod_p Z_p at (x, y), from ``terms`` as ``_chart_grid`` takes them."""
     charts = range(len(S.charts))

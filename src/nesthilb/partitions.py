@@ -5,6 +5,7 @@ A partition's box character is built once as well and carries its lengths."""
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 
 from .charalg import Character, Slotted
 from .errors import InvalidNesting
@@ -36,9 +37,11 @@ class Partition(Slotted):
 
     def contains(self, other: "Partition") -> bool:
         """Boxwise containment: other sits inside self."""
-        if len(other.parts) > len(self.parts):
-            return False
-        return all(o <= s for o, s in zip(other.parts, self.parts))
+        o, s = other.parts, self.parts
+        return len(o) <= len(s) and all(map(le, o, s))
+
+    def __hash__(self):
+        return hash(self.parts)  # agrees with Slotted.__eq__, without its fields tuple
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"

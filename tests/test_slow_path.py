@@ -22,7 +22,11 @@ dropped before evaluation; the full local terms give the same values.
 The fused top-degree read of each local term, one integer fraction of
 its flattened weights, is checked term by term against ``top_chern_value``
 over ``euler_value``, also where a tangent weight (a pole) or only a
-factor weight (a zero) vanishes.
+factor weight (a zero) vanishes.  Whole chart grids, read from one table
+of distinct weights per call, are checked the same way against the
+Fraction sum of their terms, and a pole against the message that names
+the first vanishing tangent weight in term order.  The scalar product of
+grids of one u coefficient is checked against the general u-series loop.
 
 The character formulas, which the engine reads off arm and leg lengths,
 are checked against the Koszul formulas: ring products of box characters,
@@ -924,6 +928,116 @@ class TestFusedTopValue:
         local = _local_terms(spec, 2, 2)
         with pytest.raises(SpecializationPole, match=r"vanishes at \(1, 1\)"):
             evaluate(local, S, 1, 1, spec, _grading(spec, local))
+
+
+# theorem7's spec, zprod's and case2's nested side, each read at top degree
+# from one table of distinct weights per call
+WEIGHT_TABLE_SPECS = {
+    "theorem7": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 4, 4),
+    "zprod": lambda M: (IntegrandSpec("product", (total_chern_em(), total_chern_em(M))), 3, 3),
+    "case2-nested": lambda M: (IntegrandSpec("nested", (total_chern_em(M),)), 4, 0),
+}
+
+
+def kept_top_terms(spec, n1, n2):
+    """The local terms a top-degree read evaluates, and its grading."""
+    local = _local_terms(spec, n1, n2)
+    grading = _grading(spec, local)
+    assert grading.top
+    return _nonzero_terms(spec, local, grading), grading
+
+
+def table_chart_values(terms, S, i, x, y, spec, grading):
+    """Every key's chart-i factor at (x, y), through the weight table."""
+    den, grid = _chart_grid(_top_terms(terms), S, i, x, y, spec, grading)
+    return {key: Fraction(_read(grid, key, grading), den) for key in terms}
+
+
+def slow_chart_values(terms, S, i, x, y, spec):
+    """The same, per term: the Fraction sum of ``top_chern_value`` over ``euler_value``."""
+    return {
+        key: sum((top_over_euler(term, S, i, x, y, spec) for term in ts), Fraction(0))
+        for key, ts in terms.items()
+    }
+
+
+def first_vanishing_tangent_weight(terms, S, i, x, y):
+    """The pole message of the first tangent weight, in term order, that vanishes at chart i."""
+    X, Y = S.charts[i].w1.value(x, y), S.charts[i].w2.value(x, y)
+    for ts in terms.values():
+        for tangent, _ in ts:
+            for a, b in tangent.terms:
+                if a * X + b * Y == 0:
+                    return f"weight ({a}, {b}) vanishes at ({X}, {Y})"
+    return None
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("label", WEIGHT_TABLE_SPECS)
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_every_chart_grid_is_the_sum_of_top_chern_over_euler(self, S, M, label):
+        spec, n1, n2 = WEIGHT_TABLE_SPECS[label](M)
+        terms, grading = kept_top_terms(spec, n1, n2)
+        # some weight is counted twice or more in a term's index list
+        _, _, table = _top_terms(terms)
+        assert any(len(set(ix)) < len(ix) for ts in table.values() for t in ts for ix in t)
+        for seed in (0, 1):
+            for x, y in integrate(S, n1, n2, spec, seed=seed).specializations:
+                for i in range(len(S.charts)):
+                    fast = table_chart_values(terms, S, i, x, y, spec, grading)
+                    assert fast == slow_chart_values(terms, S, i, x, y, spec), (seed, i)
+
+    @pytest.mark.parametrize("label", WEIGHT_TABLE_SPECS)
+    @pytest.mark.parametrize(
+        "S,M", SURFACES_AND_BUNDLES, ids=[S.name for S, _ in SURFACES_AND_BUNDLES]
+    )
+    def test_small_points_give_the_exact_pole_or_the_sum(self, S, M, label):
+        # at small points weights vanish: a tangent weight is a pole named as
+        # the first such weight in term order; a twisted factor weight makes
+        # its term 0
+        spec, n1, n2 = WEIGHT_TABLE_SPECS[label](M)
+        terms, grading = kept_top_terms(spec, n1, n2)
+        seen = Counter()
+        for x, y in ((x, y) for x in range(-6, 7) for y in range(-6, 7)):
+            for i in range(len(S.charts)):
+                pole = first_vanishing_tangent_weight(terms, S, i, x, y)
+                if pole is not None:
+                    with pytest.raises(SpecializationPole, match=f"^{re.escape(pole)}$"):
+                        _chart_grid(_top_terms(terms), S, i, x, y, spec, grading)
+                    seen["pole"] += 1
+                    continue
+                factor_zero = any(
+                    vanishing(term, S, i, x, y, spec)[1] for ts in terms.values() for term in ts
+                )
+                fast = table_chart_values(terms, S, i, x, y, spec, grading)
+                assert fast == slow_chart_values(terms, S, i, x, y, spec), (x, y, i)
+                seen["factor zero" if factor_zero else "regular"] += 1
+        assert seen["pole"] and seen["factor zero"] and seen["regular"]
+
+
+def unit_coefficient_grids(length):
+    keys = st.tuples(*[st.integers(0, 4)] * length)
+    return st.dictionaries(keys, st.integers(-(10**12), 10**12).map(lambda c: [c]), max_size=12)
+
+
+@st.composite
+def grid_pairs(draw):
+    length = draw(st.sampled_from((2, 3)))
+    g, h = draw(unit_coefficient_grids(length)), draw(unit_coefficient_grids(length))
+    return g, h, draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+
+@given(grid_pairs())
+@settings(max_examples=300, deadline=None)
+def test_times_at_ucut_0_is_the_general_loop(pair):
+    # the general loop runs at ucut 1 on the grids padded with u^1
+    # coefficients 0; its u^0 coefficients are the scalar products
+    g, h, n1, n2 = pair
+    general = _times({k: c + [0] for k, c in g.items()}, {k: c + [0] for k, c in h.items()},
+                     n1, n2, 1)
+    assert _times(g, h, n1, n2, 0) == {k: c[:1] for k, c in general.items()}
 
 
 def oracle_classes(S, n):
